@@ -13,6 +13,10 @@ class ZeroState(EgeoError):
     """All coefficients of a would-be state vanish."""
 
 
+class NonFinite(EgeoError):
+    """An input number is infinite or NaN."""
+
+
 class ShapeMismatch(EgeoError):
     """Dimensions of the supplied objects do not line up."""
 

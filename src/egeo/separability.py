@@ -7,13 +7,19 @@ those bipartite checks, so no recursive factor extraction is needed.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import reduce
 
+import numpy as np
+
 from .errors import ShapeMismatch, TooLarge
-from .tensor_core import DEFAULT_RANK_TOL, Bipartition, PureState, flatten, numerical_rank
+from .tensor_core import DEFAULT_RANK_TOL, Bipartition, PureState, _check_rank_tol, flatten, numerical_rank
 
 MAX_ENUM_SUBSYSTEMS = 16
+# Below this tolerance the rounding in a residual is no longer small next to
+# the certificates' factor-2 margin, so the SVD decides every cut.
+CERTIFY_MIN_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -74,36 +80,79 @@ def meet(p: Partition, q: Partition) -> Partition:
     return Partition(p.n_subsystems, tuple(blocks))
 
 
-def bipartitions(n: int) -> list[Bipartition]:
-    """All 2^(n-1) - 1 canonical bipartitions (block containing index 0)."""
+def _cut_masks(n: int) -> range:
+    """Bitmasks (bit i: subsystem i in block A) of the canonical cuts, in order."""
     if not 2 <= n <= MAX_ENUM_SUBSYSTEMS:
         raise TooLarge(f"bipartition enumeration supports 2 <= n <= {MAX_ENUM_SUBSYSTEMS}, got {n}")
-    rest = list(range(1, n))
-    out = []
-    for mask in range(2 ** (n - 1) - 1):
-        block = (0,) + tuple(rest[i] for i in range(n - 1) if mask >> i & 1)
-        out.append(Bipartition(n, block))
-    return out
+    return range(1, 2**n - 1, 2)
+
+
+def _members(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
+def bipartitions(n: int) -> list[Bipartition]:
+    """All 2^(n-1) - 1 canonical bipartitions (block containing index 0)."""
+    return [Bipartition(n, _members(mask, n)) for mask in _cut_masks(n)]
+
+
+def _rank_one_test(state: PureState, tol: float) -> Callable[[int], bool]:
+    """The test "is the flattening along this cut (a bitmask) rank 1?".
+
+    Every flattening has the same entries, so the max-modulus coefficient
+    is the maximal-volume pivot of every one, and the rank-1 cross residual
+    R through it obeys ||R||_max <= 2 sigma_2 (Goreinov-Tyrtyshnikov).  So
+    ||R||_max > 4 tol ||T||_F proves sigma_2 > 2 tol sigma_1: not rank 1.
+    Also sigma_2 <= ||R||_F and sigma_1 is at least the norm of the pivot
+    row and of the pivot column, so ||R||_F <= tol/2 times the larger of
+    them proves sigma_2 <= tol/2 sigma_1: rank 1.  The factor-2 band keeps
+    each certified verdict equal to the SVD's; between the bounds the SVD
+    decides.  R is formed on the n-axis tensor, with no flattening, after
+    dividing by the pivot's modulus: the verdicts do not depend on scale, and
+    with entries of modulus at most 1 no square overflows and the pivot's
+    does not underflow, whatever the scale of the coefficients.
+    """
+    _check_rank_tol(tol)
+    n = state.n_subsystems
+    t = state.tensor()
+    at = np.unravel_index(int(np.argmax(np.abs(t))), state.dims)
+    m = abs(t[at])
+    t = t.real / m + 1j * (t.imag / m)  # part by part: complex division by a subnormal m overflows
+    pivot = t[at]
+    fixed = [slice(i, i + 1) for i in at]
+    free = slice(None)
+    reject = 4.0 * tol * np.linalg.norm(t)
+    certify = tol >= CERTIFY_MIN_TOL
+
+    def rank_one(mask: int) -> bool:
+        if certify:
+            col = t[tuple(free if mask >> i & 1 else fixed[i] for i in range(n))]
+            row = t[tuple(fixed[i] if mask >> i & 1 else free for i in range(n))]
+            r = t - col * (row / pivot)
+            if np.vdot(r, r).real <= (0.5 * tol) ** 2 * max(np.vdot(col, col).real, np.vdot(row, row).real):
+                return True
+            if np.abs(r).max() > reject:
+                return False
+        return numerical_rank(flatten(state, Bipartition(n, _members(mask, n))), tol) == 1
+
+    return rank_one
 
 
 def is_pi_product(state: PureState, p: Partition, tol: float = DEFAULT_RANK_TOL) -> bool:
     """True iff the state factors along every block of the partition."""
     if p.n_subsystems != state.n_subsystems:
         raise ShapeMismatch("partition does not match the state's subsystem count")
-    for block in p.blocks:
-        if len(block) == state.n_subsystems:
-            continue  # trivial partition: always product
-        if numerical_rank(flatten(state, Bipartition(state.n_subsystems, block)), tol) != 1:
-            return False
-    return True
+    if len(p.blocks) == 1:
+        return True  # trivial partition: always product
+    rank_one = _rank_one_test(state, tol)
+    return all(rank_one(sum(1 << i for i in block)) for block in p.blocks)
 
 
-def _product_cuts(state: PureState, tol: float) -> list[Bipartition]:
-    return [
-        cut
-        for cut in bipartitions(state.n_subsystems)
-        if numerical_rank(flatten(state, cut), tol) == 1
-    ]
+def _product_cuts(state: PureState, tol: float) -> Iterator[Bipartition]:
+    n = state.n_subsystems
+    masks = _cut_masks(n)
+    rank_one = _rank_one_test(state, tol)
+    return (Bipartition(n, _members(mask, n)) for mask in masks if rank_one(mask))
 
 
 def finest_product_partition(state: PureState, tol: float = DEFAULT_RANK_TOL) -> Partition:
@@ -121,7 +170,7 @@ def is_gme(state: PureState, tol: float = DEFAULT_RANK_TOL) -> bool:
     """Genuinely multipartite entangled: product along no bipartition."""
     if state.n_subsystems < 2:
         raise ShapeMismatch("GME needs at least two subsystems")
-    return not _product_cuts(state, tol)
+    return next(_product_cuts(state, tol), None) is None
 
 
 @dataclass(frozen=True)

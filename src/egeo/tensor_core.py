@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import NotSquare, ShapeMismatch, TooLarge, WrongShape, ZeroState
+from .errors import NonFinite, NotSquare, ShapeMismatch, TooLarge, WrongShape, ZeroState
 
 DEFAULT_RANK_TOL = 1e-9
 MINOR_SIZE_CAP = 8
@@ -50,7 +50,8 @@ def make_state(dims, coeffs) -> PureState:
     """Validate and build a PureState. Does not normalize.
 
     Raises ZeroState if every coefficient vanishes, ShapeMismatch if the
-    coefficient count disagrees with the subsystem dimensions.
+    coefficient count disagrees with the subsystem dimensions, NonFinite if
+    a coefficient is infinite or NaN.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) < 1 or any(d < 2 for d in dims):
@@ -59,6 +60,8 @@ def make_state(dims, coeffs) -> PureState:
     n = int(np.prod(dims))
     if vec.size != n:
         raise ShapeMismatch(f"got {vec.size} coefficients for dims {dims} (need {n})")
+    if not np.isfinite(vec).all():
+        raise NonFinite("state coefficients must be finite")
     if not np.any(vec != 0):
         raise ZeroState("state has no nonzero coefficient")
     return PureState(dims, _frozen(vec))
@@ -115,17 +118,25 @@ def flatten(state: PureState, cut: Bipartition) -> FlatteningMatrix:
     return FlatteningMatrix(d_a, d_b, _frozen(m), cut)
 
 
-def _svd_rank(m: np.ndarray, tol: float) -> int:
-    s = np.linalg.svd(m, compute_uv=False)
+def _rank_of(s: np.ndarray, tol: float) -> int:
+    """Count the singular values (descending) above tol times the largest."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
 
 
-def numerical_rank(m: FlatteningMatrix | np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count singular values above tol times the largest one."""
+def _svd_rank(m: np.ndarray, tol: float) -> int:
+    return _rank_of(np.linalg.svd(m, compute_uv=False), tol)
+
+
+def _check_rank_tol(tol: float) -> None:
     if not 0 < tol < 1:
         raise ShapeMismatch(f"relative tolerance must lie in (0, 1), got {tol}")
+
+
+def numerical_rank(m: FlatteningMatrix | np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
+    """Count singular values above tol times the largest one."""
+    _check_rank_tol(tol)
     entries = m.entries if isinstance(m, FlatteningMatrix) else np.asarray(m, dtype=complex)
     return _svd_rank(entries, tol)
 
@@ -185,7 +196,7 @@ def schmidt_decompose(state: PureState, cut: Bipartition, tol: float = DEFAULT_R
     norm = state.norm()
     m = flatten(state.normalized(), cut).entries
     u, s, vh = np.linalg.svd(m)
-    k = _svd_rank(m, tol)
+    k = _rank_of(s, tol)
     cols = []
     for a in range(k):
         ua, va = u[:, a].copy(), vh[a, :].copy()
@@ -251,7 +262,7 @@ def incidence_lift(state: PureState, cut: Bipartition, tol: float = DEFAULT_RANK
     """
     m = flatten(state, cut).entries
     u, s, vh = np.linalg.svd(m)
-    k = max(_svd_rank(m, tol), 1)
+    k = max(_rank_of(s, tol), 1)
     ua = u[:, :k]
     ub = vh[:k, :].T
     core = ua.conj().T @ m @ ub.conj()

@@ -162,6 +162,18 @@ def test_bad_state_payload_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["Infinity", "NaN"])
+def test_non_finite_coefficient_is_usage_error(capsys, tmp_path, value):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dims": [2, 2], "coeffs": [[value, 0], [0, 0], [0, 0], [1, 0]]}))
+    code = run(["separability", "--state", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["command"] == "separability"
+
+
 def test_malformed_shape_is_usage_error(capsys):
     code, _ = invoke(capsys, "split", "--degrees", "0,1,2,3", "--shape", "2x2x2")
     assert code == 2

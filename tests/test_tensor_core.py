@@ -3,6 +3,7 @@ import pytest
 
 from egeo import (
     Bipartition,
+    NonFinite,
     NotSquare,
     ShapeMismatch,
     TooLarge,
@@ -53,6 +54,12 @@ def test_make_state_single_qubit():
 def test_make_state_zero_rejected():
     with pytest.raises(ZeroState):
         make_state([2, 2], [0, 0, 0, 0])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+def test_make_state_non_finite_rejected(bad):
+    with pytest.raises(NonFinite):
+        make_state([2, 2], [1, 0, 0, bad])
 
 
 def test_make_state_shape_mismatch():
