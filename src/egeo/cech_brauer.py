@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     BadNerve,
+    NonFinite,
     NotCocycle,
     NotPGLCocycle,
     NotRootOfUnity,
@@ -60,16 +61,25 @@ class CechCover:
 
 def make_cover(n: int, pairs_with_lifts, triples=(), quadruples=(), m: int | None = None, chart_count: int | None = None) -> CechCover:
     """Assemble a cover; chart_count defaults to 1 + the largest index seen."""
+    if n < 1:
+        raise ShapeMismatch(f"lifts must be n x n with n >= 1, got n={n}")
     transitions = {}
     pairs = []
     for i, j, lift in pairs_with_lifts:
         lift = np.asarray(lift, dtype=complex)
         if lift.shape != (n, n):
             raise ShapeMismatch(f"lift for pair ({i}, {j}) has shape {lift.shape}, expected ({n}, {n})")
+        if not np.isfinite(lift).all():
+            raise NonFinite(f"lift for pair ({i}, {j}) has a non-finite entry")
         transitions[(i, j)] = _frozen(lift)
         pairs.append((i, j))
     indices = [i for p in pairs for i in p] + [i for t in triples for i in t] + [0]
     count = chart_count if chart_count is not None else max(indices) + 1
+    listed = indices + [i for q in quadruples for i in q]
+    if min(listed) < 0 or max(listed) >= count:
+        raise OutOfRange(f"chart indices must lie in 0..{count - 1}, got {min(listed)}..{max(listed)}")
+    if m is not None and m < 1:
+        raise OutOfRange(f"the cocycle modulus must be >= 1, got m={m}")
     return CechCover(
         count,
         n,

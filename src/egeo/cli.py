@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import EgeoError
+from .errors import EgeoError, OutOfRange, ShapeMismatch
 from .gluing_sim import (
     HolonomyConfig,
     SpinChainParams,
@@ -82,18 +82,50 @@ def vector_json(v: np.ndarray) -> list:
     return [c2pair(z) for z in np.asarray(v, dtype=complex).ravel()]
 
 
+_JSON_TYPES = {
+    dict: "object",
+    list: "array",
+    int: "integer",
+    float: "number",
+    str: "string",
+    bool: "boolean",
+    type(None): "null",
+}
+
+
+def _expect(value, what: str, *kinds: type):
+    """value itself if its JSON type is one of kinds (true is not an integer), else ShapeMismatch."""
+    if type(value) not in kinds:
+        wanted = " or ".join(_JSON_TYPES[k] for k in kinds)
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ShapeMismatch(f"{what} must be a JSON {wanted}, got {got}")
+    return value
+
+
+def _member(obj: dict, key: str, what: str, *kinds: type):
+    if key not in obj:
+        raise ShapeMismatch(f'{what} has no "{key}"')
+    return _expect(obj[key], f'{what} "{key}"', *kinds)
+
+
+def _int_list(value, what: str) -> list[int]:
+    return [_expect(i, f"each entry of {what}", int) for i in _expect(value, what, list)]
+
+
 def _as_complex(entry) -> complex:
-    if isinstance(entry, (int, float)):
+    if type(entry) in (int, float):
         return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
+    if type(entry) is list and len(entry) == 2 and all(type(x) in (int, float) for x in entry):
         return complex(float(entry[0]), float(entry[1]))
-    raise EgeoError(f"cannot read complex value from {entry!r} (expected [re, im])")
+    raise ShapeMismatch(f"cannot read complex value from {entry!r} (expected a number or [re, im])")
 
 
 def load_state(path: str) -> PureState:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    return make_state(data["dims"], [_as_complex(c) for c in data["coeffs"]])
+        data = _expect(json.load(fh), "state file", dict)
+    dims = _int_list(_member(data, "dims", "state", list), 'state "dims"')
+    coeffs = _member(data, "coeffs", "state", list)
+    return make_state(dims, [_as_complex(c) for c in coeffs])
 
 
 def state_json(state: PureState) -> dict:
@@ -117,18 +149,22 @@ def cover_to_json(cover: CechCover) -> dict:
     }
 
 
-def cover_from_json(data: dict) -> CechCover:
-    pairs = [
-        (int(p["i"]), int(p["j"]), [[_as_complex(z) for z in row] for row in p["lift"]])
-        for p in data["pairs"]
-    ]
+def cover_from_json(data) -> CechCover:
+    _expect(data, "cover", dict)
+    pairs = []
+    for p in _member(data, "pairs", "cover", list):
+        _expect(p, "each cover pair", dict)
+        rows = _member(p, "lift", "cover pair", list)
+        lift = [[_as_complex(z) for z in _expect(row, "each lift row", list)] for row in rows]
+        pairs.append((_member(p, "i", "cover pair", int), _member(p, "j", "cover pair", int), lift))
+    triples, quads = (_expect(data.get(key, []), f'cover "{key}"', list) for key in ("triples", "quads"))
     return make_cover(
-        int(data["n"]),
+        _member(data, "n", "cover", int),
         pairs,
-        [tuple(t) for t in data.get("triples", [])],
-        [tuple(q) for q in data.get("quads", [])],
-        m=data.get("m"),
-        chart_count=data.get("charts"),
+        [tuple(_int_list(t, "each triple")) for t in triples],
+        [tuple(_int_list(q, "each quad")) for q in quads],
+        m=_expect(data.get("m"), 'cover "m"', int, type(None)),
+        chart_count=_expect(data.get("charts"), 'cover "charts"', int, type(None)),
     )
 
 
@@ -178,7 +214,9 @@ def cmd_separability(args) -> tuple[dict, dict, int]:
 
 def cmd_invariants(args) -> tuple[dict, dict, int]:
     d_a, d_b = args.da, args.db
-    ranks = [args.r] if args.r else list(range(1, min(d_a, d_b) + 1))
+    if min(d_a, d_b) < 1 or args.tmax < 0:
+        raise OutOfRange(f"need --da, --db >= 1 and --tmax >= 0, got {d_a}, {d_b}, {args.tmax}")
+    ranks = [args.r] if args.r is not None else list(range(1, min(d_a, d_b) + 1))
     table = []
     for r in ranks:
         dim, codim = determinantal_dim(d_a, d_b, r)
@@ -249,8 +287,10 @@ def cmd_cech(args) -> tuple[dict, dict, int]:
     else:
         cover = symbol_cover(args.p)
         inputs = {"p": args.p, "da": args.da, "db": args.db}
-    d_a = args.da or (int(round(cover.n ** 0.5)))
-    d_b = args.db or (cover.n // d_a)
+    if any(d is not None and d < 2 for d in (args.da, args.db)):
+        raise OutOfRange(f"--da and --db must be >= 2, got {args.da}, {args.db}")
+    d_a = args.da if args.da is not None else int(round(cover.n ** 0.5))
+    d_b = args.db if args.db is not None else cover.n // d_a
     validate_nerve(cover)
     defect = pgl_cocycle_defect(cover)
     report = check_reduction(cover, d_a, d_b, args.tol)
@@ -416,20 +456,24 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    tolerances = {"rank_tol": getattr(args, "tol", DEFAULT_RANK_TOL)}
+    tol = getattr(args, "tol", DEFAULT_RANK_TOL)
     try:
+        if not 0 < tol < 1:
+            raise OutOfRange(f"--tol must lie in (0, 1), got {tol}")
         inputs, outputs, code = args.handler(args)
-    except (ValueError, OSError, KeyError) as exc:  # EgeoError is a ValueError
+        report = {
+            "command": args.command,
+            "inputs": inputs,
+            "outputs": outputs,
+            "tolerances": {"rank_tol": tol},
+            "version": __version__,
+        }
+        # stdout is strict JSON: a report holding NaN or Infinity is an error, never printed
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+    except (ValueError, OSError, KeyError, OverflowError) as exc:  # EgeoError is a ValueError
         print(json.dumps({"command": args.command, "error": str(exc), "version": __version__}), file=sys.stderr)
         return 2
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "tolerances": tolerances,
-        "version": __version__,
-    }
-    print(json.dumps(report, sort_keys=True))
+    print(text)
     return code
 
 

@@ -124,39 +124,60 @@ def set_partitions(n: int):
             yield rest[:k] + [rest[k] + [element]] + rest[k + 1 :]
 
 
+def _leading_factors(state: PureState):
+    """Block -> leading singular vector of the block's side of its flattening.
+
+    Each cut is decomposed once, on first use, and both of its sides are
+    kept, so every lookup after that returns the very same vector.
+    """
+    n = state.n_subsystems
+    factors: dict[tuple[int, ...], np.ndarray] = {}
+
+    def factor(block: tuple[int, ...]) -> np.ndarray:
+        if block not in factors:
+            cut = Bipartition(n, block)
+            u, _, vh = np.linalg.svd(flatten(state, cut).entries)
+            factors[cut.block_a], factors[cut.block_b] = u[:, 0], vh[0, :]
+        return factors[block]
+
+    return factor
+
+
+def _reconstructs(reference: np.ndarray, dims, partition: Partition, factor, tol: float) -> bool:
+    """Projective overlap of the product of the block factors with the normalized state."""
+    if len(partition.blocks) == 1:
+        return True
+    vec = factor(partition.blocks[0])
+    for block in partition.blocks[1:]:
+        vec = np.multiply.outer(vec, factor(block)).ravel()
+    order = [i for block in partition.blocks for i in block]
+    candidate = vec.reshape([dims[i] for i in order]).transpose(np.argsort(order)).ravel()
+    candidate /= np.linalg.norm(candidate)
+    return bool(abs(np.vdot(reference, candidate)) >= 1.0 - tol)
+
+
 def pi_product_by_reconstruction(state: PureState, partition: Partition, tol: float = 1e-8) -> bool:
     """Oracle factorization test: extract one factor per block, reassemble, compare.
 
     Independent of the rank-counting route: the verdict is the projective
     overlap of the reassembled product with the original state.
     """
-    n = state.n_subsystems
-    if len(partition.blocks) == 1:
-        return True
-    factors = []
-    for block in partition.blocks:
-        cut = Bipartition(n, block)
-        m = flatten(state, cut).entries
-        u, s, vh = np.linalg.svd(m)
-        factors.append(u[:, 0] if set(block) == set(cut.block_a) else vh[0, :])
-    vec = factors[0]
-    for f in factors[1:]:
-        vec = np.kron(vec, f)
-    order = [i for block in partition.blocks for i in block]
-    inverse = np.argsort(order)
-    candidate = vec.reshape([state.dims[i] for i in order]).transpose(inverse).ravel()
-    candidate /= np.linalg.norm(candidate)
-    reference = state.normalized().coeffs
-    return bool(abs(np.vdot(reference, candidate)) >= 1.0 - tol)
+    return _reconstructs(state.normalized().coeffs, state.dims, partition, _leading_factors(state), tol)
 
 
 def brute_force_finest(state: PureState, tol: float = 1e-8) -> Partition:
-    """Meet of every partition that passes the reconstruction oracle."""
+    """Meet of every partition that passes the reconstruction oracle.
+
+    The normalized state and each block's factor are computed once and
+    shared by all Bell(n) partitions.
+    """
     n = state.n_subsystems
+    reference = state.normalized().coeffs
+    factor = _leading_factors(state)
     finest = Partition.trivial(n)
     for blocks in set_partitions(n):
         p = Partition(n, tuple(tuple(b) for b in blocks))
-        if pi_product_by_reconstruction(state, p, tol):
+        if _reconstructs(reference, state.dims, p, factor, tol):
             finest = meet(finest, p)
     return finest
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import prod
 
-from .errors import OutOfRange, TooLarge, WrongSize, ZeroState
+from .errors import NonFinite, OutOfRange, TooLarge, WrongSize, ZeroState
 
 SPECTRAL_TOL = 1e-9
 ORACLE_SIZE_CAP = 16
@@ -21,9 +21,13 @@ ORACLE_SIZE_CAP = 16
 
 def _unit_product(values) -> tuple[complex, ...]:
     zs = tuple(complex(z) for z in values)
+    if not all(map(cmath.isfinite, zs)):
+        raise NonFinite("eigenvalues must be finite")
     if any(z == 0 for z in zs):
         raise ZeroState("spectral classes require nonzero eigenvalues")
     total = prod(zs)
+    if total == 0 or not cmath.isfinite(total):
+        raise OutOfRange("the product of the eigenvalues overflows or underflows")
     root = cmath.exp(cmath.log(total) / len(zs))
     return tuple(z / root for z in zs)
 

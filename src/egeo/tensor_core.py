@@ -146,6 +146,8 @@ def minor_rank(m: FlatteningMatrix | np.ndarray, tol: float = DEFAULT_RANK_TOL) 
 
     Returns the smallest k such that every (k+1)-minor of the
     max-modulus-normalized matrix has modulus <= tol. Capped at 8x8.
+    All minors of one order go through one stacked det call; each is the
+    same LU as a det of that submatrix alone.
     """
     entries = m.entries if isinstance(m, FlatteningMatrix) else np.asarray(m, dtype=complex)
     rows, cols = entries.shape
@@ -156,11 +158,11 @@ def minor_rank(m: FlatteningMatrix | np.ndarray, tol: float = DEFAULT_RANK_TOL) 
         return 0
     scaled = entries / top
     for k in range(min(rows, cols), 0, -1):
-        for ri in combinations(range(rows), k):
-            sub = scaled[np.ix_(ri, range(cols))]
-            for ci in combinations(range(cols), k):
-                if abs(np.linalg.det(sub[:, ci])) > tol:
-                    return k
+        ri = np.array(list(combinations(range(rows), k)))
+        ci = np.array(list(combinations(range(cols), k)))
+        minors = np.linalg.det(scaled[ri[:, None, :, None], ci[None, :, None, :]])
+        if (np.abs(minors) > tol).any():
+            return k
     return 0
 
 

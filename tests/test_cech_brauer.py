@@ -4,9 +4,11 @@ import pytest
 from egeo import (
     BadNerve,
     Cocycle2,
+    NonFinite,
     NotPGLCocycle,
     NotRootOfUnity,
     OutOfRange,
+    ShapeMismatch,
     check_reduction,
     class_order,
     is_2cocycle,
@@ -368,3 +370,27 @@ def test_weyl_transitions_appear_in_symbol_cover():
             if proj_equal(lift, np.linalg.inv(w.x_op)):
                 seen_x = True
     assert seen_z and seen_x
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_make_cover_rejects_non_finite_lift(bad):
+    lift = np.eye(2, dtype=complex)
+    lift[0, 1] = bad
+    with pytest.raises(NonFinite):
+        make_cover(2, [(0, 1, lift)])
+
+
+def test_make_cover_rejects_empty_lift_size():
+    with pytest.raises(ShapeMismatch):
+        make_cover(0, [])
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"m": 0}, {"chart_count": 1}, {"triples": [(0, 1, -2)]}, {"quadruples": [(0, 1, 2, 3)]}],
+    ids=["m-zero", "index-beyond-charts", "negative-index", "quad-beyond-charts"],
+)
+def test_make_cover_rejects_out_of_range_indices_and_modulus(kwargs):
+    kwargs.setdefault("chart_count", 3)
+    with pytest.raises(OutOfRange):
+        make_cover(2, [(0, 1, np.eye(2))], **kwargs)

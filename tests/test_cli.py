@@ -182,3 +182,64 @@ def test_malformed_shape_is_usage_error(capsys):
 def test_repro_unknown_check_is_usage_error(capsys):
     code, _ = invoke(capsys, "repro", "--only", "no-such-check")
     assert code == 2
+
+
+LIFT = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+MALFORMED_FILES = {
+    "state-dims-not-array": ("separability", {"dims": 2, "coeffs": [1, 0]}),
+    "state-root-array": ("separability", [[2, 2], [1, 0, 0, 0]]),
+    "state-no-coeffs": ("separability", {"dims": [2, 2]}),
+    "state-dim-string": ("schmidt", {"dims": ["2", 2], "coeffs": [1, 0, 0, 0]}),
+    "state-dim-null": ("separability", {"dims": [None, 2], "coeffs": [1, 0, 0, 0]}),
+    "state-dim-boolean": ("separability", {"dims": [True, 2], "coeffs": [1, 0]}),
+    "state-coeffs-not-array": ("rank222", {"dims": [2, 2, 2], "coeffs": 8}),
+    "state-coeff-null-part": ("separability", {"dims": [2, 2], "coeffs": [[None, 0], 0, 0, 1]}),
+    "state-coeff-nested": ("separability", {"dims": [2, 2], "coeffs": [[[1], 0], 0, 0, 1]}),
+    "state-coeff-Infinity": ("separability", {"dims": [2, 2], "coeffs": [float("inf"), 0, 0, 1]}),
+    "state-coeff-NaN": ("schmidt", {"dims": [2, 2], "coeffs": [[0, float("nan")], 0, 0, 1]}),
+    "state-coeff-huge-integer": ("separability", {"dims": [2, 2], "coeffs": [10**400, 0, 0, 1]}),
+    "state-not-json": ("separability", '{"dims": [2'),
+    "cover-root-array": ("cech", [{"i": 0, "j": 1, "lift": LIFT}]),
+    "cover-pairs-not-array": ("cech", {"n": 4, "pairs": 3}),
+    "cover-pair-not-object": ("cech", {"n": 4, "pairs": [[0, 1, LIFT]]}),
+    "cover-n-string": ("cech", {"n": "4", "pairs": [{"i": 0, "j": 1, "lift": LIFT}]}),
+    "cover-n-zero": ("cech", {"n": 0, "pairs": []}),
+    "cover-index-null": ("cech", {"n": 4, "pairs": [{"i": None, "j": 1, "lift": LIFT}]}),
+    "cover-triple-not-array": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 1, "lift": LIFT}], "triples": [3]}),
+    "cover-m-zero": ("cech", {"n": 4, "m": 0, "pairs": [{"i": 0, "j": 1, "lift": LIFT}]}),
+    "cover-negative-index": ("cech", {"n": 4, "pairs": [{"i": -1, "j": 1, "lift": LIFT}]}),
+    "cover-index-beyond-charts": ("cech", {"n": 4, "charts": 1, "pairs": [{"i": 0, "j": 1, "lift": LIFT}]}),
+    "cover-lift-NaN": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 1, "lift": [[float("nan")] * 4] + LIFT[1:]}]}),
+    "cover-lift-Infinity": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 1, "lift": [[float("inf")] * 4] + LIFT[1:]}]}),
+}
+MALFORMED_ARGV = {
+    "invariants-negative-tmax": ["invariants", "--da", "2", "--db", "2", "--tmax", "-1"],
+    "invariants-zero-rank": ["invariants", "--da", "2", "--db", "2", "--r", "0"],
+    "invariants-negative-dim": ["invariants", "--da", "-2", "--db", "2"],
+    "satake-NaN-eigenvalue": ["satake", "--eigs=nan,0;1,0;1,0;1,0", "--d", "2,2"],
+    "satake-Infinity-eigenvalue": ["satake", "--eigs=1,0;inf,0;1,0;1,0", "--d", "2,2,2"],
+    "satake-overflowing-product": ["satake", "--eigs=1e300,0;1e300,0;1e300,0;1e300,0", "--d", "2,2"],
+    "satake-negative-tol": ["satake", "--eigs=2,0;0.5,0;3,0;0.5,0", "--d", "2,2", "--tol", "-1"],
+    "cech-NaN-tol": ["cech", "--p", "2", "--tol", "nan"],
+    "cech-zero-da": ["cech", "--p", "2", "--da", "0"],
+    "holonomy-NaN-angle": ["holonomy", "--p", "2", "--loop", "u", "--theta-u", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_FILES) + list(MALFORMED_ARGV))
+def test_malformed_input_exits_2_with_one_json_error_line(capsys, tmp_path, case):
+    if case in MALFORMED_FILES:
+        command, payload = MALFORMED_FILES[case]
+        path = tmp_path / "input.json"
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        flag = "--cover" if command == "cech" else "--state"
+        argv = [command, flag, str(path)] + (["--cut", "0"] if command == "schmidt" else [])
+    else:
+        argv = MALFORMED_ARGV[case]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["command"] == argv[0] and error["error"]

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,10 +15,11 @@ from egeo import (
     is_pi_product,
     make_state,
     meet,
+    minor_rank,
     refines,
     separability_report,
 )
-from egeo.repro import random_block_product, set_partitions
+from egeo.repro import brute_force_finest, pi_product_by_reconstruction, random_block_product, set_partitions
 
 RNG = np.random.default_rng(13)
 
@@ -207,3 +210,50 @@ def test_separability_report_consistency():
     assert len(rep.product_bipartitions) == 3
     rep_ghz = separability_report(ghz3())
     assert rep_ghz.gme and rep_ghz.finest == P.trivial(3) and not rep_ghz.product_bipartitions
+
+
+def planted_states(rng, count):
+    """Seeded block products, n = 2..5 qubits and qutrits, perturbed at 0 and 1e-12..1e-6."""
+    for trial in range(count):
+        n = 2 + trial % 4
+        dims = tuple(int(d) for d in rng.integers(2, 4, n))
+        order = list(rng.permutation(n))
+        cuts = sorted(rng.choice(range(1, n), size=int(rng.integers(0, n)), replace=False))
+        edges = [0] + list(cuts) + [n]
+        blocks = [tuple(sorted(order[a:b])) for a, b in zip(edges, edges[1:])]
+        st = random_block_product(rng, dims, blocks)
+        eps = (0.0, 1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6)[trial % 9]
+        noise = rng.standard_normal(st.coeffs.size) + 1j * rng.standard_normal(st.coeffs.size)
+        yield make_state(dims, st.coeffs + eps * np.linalg.norm(st.coeffs) * noise), P(n, tuple(blocks)), eps
+
+
+def test_brute_force_finest_is_the_meet_of_partitions_tested_one_by_one():
+    # pi_product_by_reconstruction called alone recomputes every block factor,
+    # so this checks the oracle's shared factors against the unshared route.
+    rng = np.random.default_rng(47)
+    for st, planted, eps in planted_states(rng, 72):
+        n = st.n_subsystems
+        expected = P.trivial(n)
+        for raw in set_partitions(n):
+            rho = P(n, tuple(tuple(b) for b in raw))
+            if pi_product_by_reconstruction(st, rho):
+                expected = meet(expected, rho)
+        assert brute_force_finest(st) == expected
+        if eps == 0.0:
+            assert expected == planted
+
+
+def test_oracles_do_not_use_the_rank_counting_route(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle called the rank-counting route")
+
+    for name, module in list(sys.modules.items()):
+        if name == "egeo" or name.startswith("egeo."):
+            for attr in ("numerical_rank", "_rank_one_test", "finest_product_partition"):
+                if attr in vars(module):
+                    monkeypatch.setattr(module, attr, forbidden)
+    rng = np.random.default_rng(53)
+    for st, _, _ in planted_states(rng, 8):
+        brute_force_finest(st)
+        pi_product_by_reconstruction(st, P.discrete(st.n_subsystems))
+    assert minor_rank(rng.standard_normal((4, 5))) == 4

@@ -6,6 +6,7 @@ import pytest
 
 from egeo import (
     LocalSpectra,
+    NonFinite,
     OutOfRange,
     SpectralClass,
     TooLarge,
@@ -266,3 +267,17 @@ def test_sphericity_only_two_two_up_to_64():
 
     winners = [t for t in types(64) if len(t) >= 2 and prod(t) <= 64 and sphericity_check(t)]
     assert winners == [(2, 2)]
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1, float("-inf"))], ids=["nan", "inf", "-inf-imag"])
+def test_non_finite_eigenvalues_rejected(bad):
+    with pytest.raises(NonFinite):
+        SpectralClass((bad, 1, 1, 1))
+    with pytest.raises(NonFinite):
+        LocalSpectra(((1, 1), (bad, 1)))
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_eigenvalue_product_out_of_range_rejected(scale):
+    with pytest.raises(OutOfRange):
+        SpectralClass((scale,) * 4)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,63 @@ def test_minor_rank_constructed_rank_two():
 def test_minor_rank_size_cap():
     with pytest.raises(TooLarge):
         minor_rank(np.eye(9))
+
+
+def nested_loop_minor_rank(m, tol=1e-9):
+    """Reference: one det per minor, the enumeration minor_rank stacks."""
+    m = np.asarray(m, dtype=complex)
+    rows, cols = m.shape
+    top = np.abs(m).max()
+    if top == 0.0:
+        return 0
+    scaled = m / top
+    for k in range(min(rows, cols), 0, -1):
+        for ri in combinations(range(rows), k):
+            sub = scaled[np.ix_(ri, range(cols))]
+            for ci in combinations(range(cols), k):
+                if abs(np.linalg.det(sub[:, ci])) > tol:
+                    return k
+    return 0
+
+
+def rank_sum(rng, rows, cols, r):
+    m = np.zeros((rows, cols), dtype=complex)
+    for _ in range(r):
+        m += np.outer(rng.standard_normal(rows) + 1j * rng.standard_normal(rows),
+                      rng.standard_normal(cols) + 1j * rng.standard_normal(cols))
+    return m
+
+
+def test_minor_rank_matches_nested_loop_reference_on_every_shape():
+    rng = np.random.default_rng(41)
+    for rows in range(1, 9):
+        for cols in range(1, 9):
+            r = int(rng.integers(0, min(rows, cols) + 1))
+            exact = rank_sum(rng, rows, cols, r)
+            noisy = exact + 1e-10 * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
+            for m in (exact, noisy, np.zeros((rows, cols), dtype=complex)):
+                for tol in (1e-9, 1e-6):
+                    assert minor_rank(m, tol) == nested_loop_minor_rank(m, tol), (rows, cols, r, tol)
+            assert minor_rank(exact) == r
+
+
+@pytest.mark.parametrize("side", [1 + 1e-3, 1 - 1e-3], ids=["above", "below"])
+def test_minor_rank_at_the_tolerance_boundary(side):
+    # A monomial matrix (permuted diagonal, random phases, zero padding) has one
+    # nonzero top-order minor, the product of its entries; set it to tol*(1 +- 1e-3).
+    rng = np.random.default_rng(43)
+    tol = 1e-9
+    for trial in range(24):
+        k = 2 + trial % 6
+        rows, cols = min(8, k + int(rng.integers(0, 3))), min(8, k + int(rng.integers(0, 3)))
+        mods = np.concatenate([[1.0], rng.uniform(0.5, 1.0, k - 1)])
+        mods[-1] = tol * side / np.prod(mods[:-1])
+        m = np.zeros((rows, cols), dtype=complex)
+        m[rng.permutation(rows)[:k], rng.permutation(cols)[:k]] = mods * np.exp(2j * np.pi * rng.random(k))
+        m *= 10.0 ** rng.uniform(-5, 5)
+        expected = k if side > 1 else k - 1
+        assert nested_loop_minor_rank(m, tol) == expected
+        assert minor_rank(m, tol) == expected
 
 
 def test_rank_oracle_agreement_on_random_states():
