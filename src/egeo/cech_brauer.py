@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from .errors import (
     OutOfRange,
     ShapeMismatch,
 )
-from .gluing_sim import det_normalize, is_local_operator, proj_equal, weyl_ops
-from .modular import solve_mod
+from .gluing_sim import _scalar_value, det_normalize, is_local_operator, proj_equal, weyl_ops
+from .modular import smith_normal_form, solve_mod
 from .tensor_core import DEFAULT_RANK_TOL, _frozen
 
 SCALAR_TOL = 1e-9
@@ -137,14 +137,6 @@ class Cocycle2:
         return self.values[triple]
 
 
-def _scalar_of(product: np.ndarray, tol: float) -> complex:
-    n = product.shape[0]
-    scalar = complex(np.trace(product)) / n
-    if np.max(np.abs(product - scalar * np.eye(n))) > tol * max(1.0, abs(scalar)):
-        raise NotPGLCocycle("triple product of lifts is not a scalar matrix")
-    return scalar
-
-
 def _root_exponent(scalar: complex, m: int, tol: float) -> int:
     if abs(abs(scalar) - 1.0) > tol:
         raise NotRootOfUnity(f"scalar {scalar} does not lie on the unit circle")
@@ -173,7 +165,10 @@ def pgl_cocycle_defect(cover: CechCover, tol: float = SCALAR_TOL) -> Cocycle2:
     for t in cover.triples:
         i, j, k = t
         product = cover.lift(i, j) @ cover.lift(j, k) @ cover.lift(k, i)
-        scalars[t] = _scalar_of(product, tol)
+        scalar = _scalar_value(product, tol)
+        if scalar is None:
+            raise NotPGLCocycle("triple product of lifts is not a scalar matrix")
+        scalars[t] = scalar
     m = cover.m
     if m is None:
         m = 1
@@ -222,15 +217,19 @@ def coboundary_witness(c: Cocycle2, cover: CechCover, scale: int = 1) -> dict | 
 
 
 def class_order(c: Cocycle2, cover: CechCover) -> int:
-    """Smallest l >= 1 such that l * c is a coboundary over Z/m."""
+    """Smallest l >= 1 such that l * c is a coboundary over Z/m.
+
+    With u A v = S the Smith form of the coboundary matrix A, l * c = A b is
+    solvable iff g_i = gcd(s_ii, m) divides l * (u c)_i for every row i.
+    """
     if not is_2cocycle(c, cover):
         raise NotCocycle("exponent cochain fails the 2-cocycle identity")
-    m = c.m
-    divisors = sorted(d for d in range(1, m + 1) if m % d == 0)
-    for ell in divisors:
-        if coboundary_witness(c, cover, scale=ell) is not None:
-            return ell
-    return m  # unreachable: l = m always solves with b = 0
+    matrix, pairs = _coboundary_matrix(cover)
+    s, u, _ = smith_normal_form(matrix)
+    rhs = [c.exponent(tr) for tr in cover.triples]
+    t = [sum(x * y for x, y in zip(row, rhs)) % c.m for row in u]
+    g = [gcd(s[i][i] if i < len(pairs) else 0, c.m) for i in range(len(u))]
+    return lcm(*(gi // gcd(ti, gi) for gi, ti in zip(g, t)))
 
 
 def rescale_lifts(cover: CechCover, b_exponents: dict, m: int) -> CechCover:

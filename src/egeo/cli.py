@@ -179,7 +179,9 @@ def _parse_eigs(text: str) -> list[complex]:
         if not chunk:
             continue
         parts = [float(x) for x in chunk.split(",")]
-        out.append(complex(parts[0], parts[1] if len(parts) > 1 else 0.0))
+        if len(parts) > 2:
+            raise ShapeMismatch(f"eigenvalue {chunk!r} must be re or re,im")
+        out.append(complex(*parts))
     return out
 
 
@@ -244,9 +246,7 @@ def cmd_rank222(args) -> tuple[dict, dict, int]:
 
 
 def cmd_holonomy(args) -> tuple[dict, dict, int]:
-    base = (complex(np.cos(args.theta_u), np.sin(args.theta_u)), 1.0 + 0j)
-    cfg = HolonomyConfig(p=args.p, base_point=base, loop_word=args.loop)
-    hol = loop_holonomy(cfg)
+    hol = loop_holonomy(HolonomyConfig(p=args.p, loop_word=args.loop))
     local = is_local_operator(hol, args.p, args.p, args.tol)
     demo = make_state([args.p, args.p], [1 if (a, b) in ((0, 0), (1, 0)) else 0 for a in range(args.p) for b in range(args.p)])
     image = apply_holonomy(hol, demo)
@@ -257,7 +257,7 @@ def cmd_holonomy(args) -> tuple[dict, dict, int]:
         "schmidt_rank_before": numerical_rank(flatten(demo, cut), args.tol),
         "schmidt_rank_after": numerical_rank(flatten(image, cut), args.tol),
     }
-    inputs = {"p": args.p, "loop": args.loop, "theta_u": args.theta_u, "branch": args.branch}
+    inputs = {"p": args.p, "loop": args.loop}
     return inputs, outputs, 0 if local else 1
 
 
@@ -330,16 +330,16 @@ def cmd_satake(args) -> tuple[dict, dict, int]:
     dims = tuple(_parse_ints(args.d))
     s = SpectralClass(tuple(_parse_eigs(args.eigs)))
     e = elem_sym(s)
-    witness = None
+    verdict = witness = None
     if dims == (2, 2):
         verdict, w22 = is_22_product(s, args.tol)
         if w22 is not None:
             witness = [[c2pair(w22[0]), c2pair(1 / w22[0])], [c2pair(w22[1]), c2pair(1 / w22[1])]]
     elif dims == (2, 2, 2):
         verdict = is_222_product(s, args.tol)
-    else:
-        verdict = d_product_oracle(s, dims, args.tol) is not None
     oracle = d_product_oracle(s, dims, args.tol)
+    if verdict is None:
+        verdict = oracle is not None
     if witness is None and oracle is not None:
         witness = [[c2pair(z) for z in factor] for factor in oracle.factors]
     outputs = {
@@ -353,7 +353,7 @@ def cmd_satake(args) -> tuple[dict, dict, int]:
 
 
 def cmd_repro(args) -> tuple[dict, dict, int]:
-    names = args.only.split(",") if args.only else None
+    names = args.only.split(",") if args.only is not None else None
     results = run_battery(seed=args.seed, names=names)
     if not results:
         raise EgeoError(f"no checks match {args.only!r}")
@@ -413,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("holonomy", help="evaluate a loop word; locality and entangling demo")
     p.add_argument("--p", type=int, required=True, help="local dimension; the system has dimension p^2")
     p.add_argument("--loop", required=True, help="word over u, U, v, V (capitals are inverse loops)")
-    p.add_argument("--theta-u", type=float, default=0.0, help="base point angle in radians (default 0)")
-    p.add_argument("--branch", type=int, default=0, help="branch sheet index, echoed in the report (default 0)")
     add_tol(p)
     p.set_defaults(handler=cmd_holonomy)
 

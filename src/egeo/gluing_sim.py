@@ -78,10 +78,20 @@ class ProjectiveOperator:
         return self.lift.shape[0]
 
 
+def _lift(g: np.ndarray | ProjectiveOperator) -> np.ndarray:
+    return g.lift if isinstance(g, ProjectiveOperator) else np.asarray(g, dtype=complex)
+
+
+def _scalar_value(mat: np.ndarray, tol: float) -> complex | None:
+    """s = trace/n if mat is within tol * max(1, |s|) of s I entrywise, else None."""
+    n = mat.shape[0]
+    scalar = complex(np.trace(mat)) / n
+    return None if np.max(np.abs(mat - scalar * np.eye(n))) > tol * max(1.0, abs(scalar)) else scalar
+
+
 def proj_equal(g: np.ndarray | ProjectiveOperator, h: np.ndarray | ProjectiveOperator, tol: float = PROJ_TOL) -> bool:
     """Projective equality: rescale both by the same max-modulus entry and compare."""
-    ga = g.lift if isinstance(g, ProjectiveOperator) else np.asarray(g, dtype=complex)
-    ha = h.lift if isinstance(h, ProjectiveOperator) else np.asarray(h, dtype=complex)
+    ga, ha = _lift(g), _lift(h)
     if ga.shape != ha.shape:
         return False
     pos = np.unravel_index(np.argmax(np.abs(ga)), ga.shape)
@@ -95,15 +105,11 @@ class HolonomyConfig:
     """Loop data on the unit torus for the dimension-p^2 symbol model."""
 
     p: int
-    base_point: tuple[complex, complex] = (1.0 + 0j, 1.0 + 0j)
     loop_word: str = ""
 
     def __post_init__(self):
         if self.p < 2:
             raise OutOfRange(f"p must be >= 2, got {self.p}")
-        u0, v0 = self.base_point
-        if abs(abs(u0) - 1.0) > 1e-9 or abs(abs(v0) - 1.0) > 1e-9:
-            raise OutOfRange("base point must lie on the unit torus")
 
     @property
     def m(self) -> int:
@@ -133,12 +139,9 @@ def loop_holonomy(cfg: HolonomyConfig) -> ProjectiveOperator:
 
 def commutator_scalar(g: np.ndarray | ProjectiveOperator, h: np.ndarray | ProjectiveOperator, tol: float = PROJ_TOL) -> complex:
     """The central scalar g h g^-1 h^-1, normalized to modulus 1."""
-    ga = g.lift if isinstance(g, ProjectiveOperator) else np.asarray(g, dtype=complex)
-    ha = h.lift if isinstance(h, ProjectiveOperator) else np.asarray(h, dtype=complex)
-    comm = ga @ ha @ np.linalg.inv(ga) @ np.linalg.inv(ha)
-    n = comm.shape[0]
-    scalar = complex(np.trace(comm)) / n
-    if np.max(np.abs(comm - scalar * np.eye(n))) > tol * max(1.0, abs(scalar)):
+    ga, ha = _lift(g), _lift(h)
+    scalar = _scalar_value(ga @ ha @ np.linalg.inv(ga) @ np.linalg.inv(ha), tol)
+    if scalar is None:
         raise NotCentral("commutator is not a scalar matrix")
     return scalar / abs(scalar)
 
@@ -163,7 +166,7 @@ def is_local_operator(g: np.ndarray | ProjectiveOperator, d_a: int, d_b: int, to
     A (x) B (realignment rank 1), or, when d_a = d_b, becomes one after
     composing with the factor swap.
     """
-    ga = g.lift if isinstance(g, ProjectiveOperator) else np.asarray(g, dtype=complex)
+    ga = _lift(g)
     if ga.shape != (d_a * d_b, d_a * d_b):
         raise ShapeMismatch(f"operator shape {ga.shape} does not match ({d_a * d_b}, {d_a * d_b})")
     if _realignment_rank_one(ga, d_a, d_b, tol):
@@ -203,7 +206,7 @@ def to_qudit_pair(state: PureState, p: int) -> PureState:
 
 def apply_holonomy(g: np.ndarray | ProjectiveOperator, state: PureState) -> PureState:
     """Act on a state by a projective operator (in the wire basis)."""
-    ga = g.lift if isinstance(g, ProjectiveOperator) else np.asarray(g, dtype=complex)
+    ga = _lift(g)
     m = ga.shape[0]
     if int(np.prod(state.dims)) != m:
         raise ShapeMismatch(f"state dimension {np.prod(state.dims)} does not match operator size {m}")

@@ -454,34 +454,21 @@ def check_satake(rng) -> tuple[bool, str]:
     problems = []
     boundary = []
     hard_disagreements = 0
-    for trial in range(500):
-        if trial % 2 == 0:
-            s = tensor_spectrum(LocalSpectra((_random_unit_product(rng, 2), _random_unit_product(rng, 2))))
-        else:
-            s = SpectralClass(tuple(cmath.exp(complex(rng.normal(), rng.normal())) for _ in range(4)))
-        poly = is_22_product(s)[0]
-        oracle = d_product_oracle(s, (2, 2)) is not None
-        if poly != oracle:
-            margin = margin_22(s)
-            if 1e-11 < margin < 1e-7:
-                boundary.append(f"(2,2) trial {trial} margin {margin:.2e}")
+    for label, factors, trials, criterion, margin in (
+        ("(2,2)", 2, 500, lambda s: is_22_product(s)[0], margin_22),
+        ("(2,2,2)", 3, 200, is_222_product, margin_222),
+    ):
+        for trial in range(trials):
+            if trial % 2 == 0:
+                s = tensor_spectrum(LocalSpectra(tuple(_random_unit_product(rng, 2) for _ in range(factors))))
             else:
-                hard_disagreements += 1
-    for trial in range(200):
-        if trial % 2 == 0:
-            s = tensor_spectrum(
-                LocalSpectra((_random_unit_product(rng, 2), _random_unit_product(rng, 2), _random_unit_product(rng, 2)))
-            )
-        else:
-            s = SpectralClass(tuple(cmath.exp(complex(rng.normal(), rng.normal())) for _ in range(8)))
-        poly = is_222_product(s)
-        oracle = d_product_oracle(s, (2, 2, 2)) is not None
-        if poly != oracle:
-            margin = margin_222(s)
-            if 1e-11 < margin < 1e-7:
-                boundary.append(f"(2,2,2) trial {trial} margin {margin:.2e}")
-            else:
-                hard_disagreements += 1
+                s = SpectralClass(tuple(cmath.exp(complex(rng.normal(), rng.normal())) for _ in range(2**factors)))
+            if criterion(s) != (d_product_oracle(s, (2,) * factors) is not None):
+                gap = margin(s)
+                if 1e-11 < gap < 1e-7:
+                    boundary.append(f"{label} trial {trial} margin {gap:.2e}")
+                else:
+                    hard_disagreements += 1
     if hard_disagreements:
         problems.append(f"{hard_disagreements} oracle disagreements away from the tolerance boundary")
     ones = SpectralClass(tuple([1.0] * 8))

@@ -157,13 +157,9 @@ def _product_cuts(state: PureState, tol: float) -> Iterator[Bipartition]:
 
 def finest_product_partition(state: PureState, tol: float = DEFAULT_RANK_TOL) -> Partition:
     """Meet of all bipartitions along which the state is product."""
-    n = state.n_subsystems
-    if n > MAX_ENUM_SUBSYSTEMS:
-        raise TooLarge(f"finest partition enumerates bipartitions, capped at N = {MAX_ENUM_SUBSYSTEMS}")
-    if n == 1:
+    if state.n_subsystems == 1:
         return Partition.trivial(1)
-    cuts = [Partition.from_bipartition(c) for c in _product_cuts(state, tol)]
-    return reduce(meet, cuts, Partition.trivial(n))
+    return separability_report(state, tol).finest
 
 
 def is_gme(state: PureState, tol: float = DEFAULT_RANK_TOL) -> bool:

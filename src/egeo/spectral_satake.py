@@ -90,17 +90,21 @@ def _match_multiset(candidates, targets, tol: float) -> bool:
     return not pool
 
 
+def _relations_22(s: SpectralClass) -> list[tuple[float, float]]:
+    """(residual, scale) of e_1 = e_3; a criterion holds iff every residual <= tol * scale."""
+    if s.n != 4:
+        raise WrongSize(f"(2,2) test needs 4 eigenvalues, got {s.n}")
+    e = elem_sym(s)
+    return [(abs(e[0] - e[2]), 1.0 + abs(e[0]))]
+
+
 def is_22_product(s: SpectralClass, tol: float = SPECTRAL_TOL) -> tuple[bool, tuple[complex, complex] | None]:
     """Palindromic test e_1 = e_3 with witness reconstruction.
 
     The witness pairs the multiset into inversion pairs {u, 1/u, v, 1/v},
     then takes a with a^2 = uv and b = u/a.
     """
-    if s.n != 4:
-        raise WrongSize(f"(2,2) test needs 4 eigenvalues, got {s.n}")
-    e = elem_sym(s)
-    verdict = abs(e[0] - e[2]) <= tol * (1.0 + abs(e[0]))
-    if not verdict:
+    if not all(r <= tol * w for r, w in _relations_22(s)):
         return False, None
     zs = s.eigenvalues
     wtol = max(tol, 1e-7)  # witness matching may be looser than the verdict
@@ -124,31 +128,29 @@ def quartic_f(e) -> complex:
     return e3 * e3 + 2 * e1 * e3 + e1**4 - (e4 + 2 * e2 + 1) * e1 * e1
 
 
-def is_222_product(s: SpectralClass, tol: float = SPECTRAL_TOL) -> bool:
-    """Three palindromic relations plus the vanishing of the quartic F."""
+def _relations_222(s: SpectralClass) -> list[tuple[float, float]]:
+    """(residual, scale) of e_k = e_(8-k) for k = 1, 2, 3 and of F = 0."""
     if s.n != 8:
         raise WrongSize(f"(2,2,2) test needs 8 eigenvalues, got {s.n}")
     e = elem_sym(s)
-    for k in (1, 2, 3):
-        if abs(e[8 - k - 1] - e[k - 1]) > tol * (1.0 + max(abs(e[k - 1]), abs(e[8 - k - 1]))):
-            return False
+    palindromic = [(abs(e[7 - k] - e[k - 1]), 1.0 + max(abs(e[k - 1]), abs(e[7 - k]))) for k in (1, 2, 3)]
     scale = 1.0 + abs(e[2]) ** 2 + 2 * abs(e[0]) * abs(e[2]) + abs(e[0]) ** 4 + (abs(e[3]) + 2 * abs(e[1]) + 1) * abs(e[0]) ** 2
-    return abs(quartic_f(e)) <= tol * scale
+    return palindromic + [(abs(quartic_f(e)), scale)]
+
+
+def is_222_product(s: SpectralClass, tol: float = SPECTRAL_TOL) -> bool:
+    """Three palindromic relations plus the vanishing of the quartic F."""
+    return all(r <= tol * w for r, w in _relations_222(s))
 
 
 def margin_222(s: SpectralClass) -> float:
     """Largest scaled residual of the (2,2,2) relations; small iff product."""
-    e = elem_sym(s)
-    worst = 0.0
-    for k in (1, 2, 3):
-        worst = max(worst, abs(e[8 - k - 1] - e[k - 1]) / (1.0 + max(abs(e[k - 1]), abs(e[8 - k - 1]))))
-    scale = 1.0 + abs(e[2]) ** 2 + 2 * abs(e[0]) * abs(e[2]) + abs(e[0]) ** 4 + (abs(e[3]) + 2 * abs(e[1]) + 1) * abs(e[0]) ** 2
-    return max(worst, abs(quartic_f(e)) / scale)
+    return max(r / w for r, w in _relations_222(s))
 
 
 def margin_22(s: SpectralClass) -> float:
-    e = elem_sym(s)
-    return abs(e[0] - e[2]) / (1.0 + abs(e[0]))
+    """Scaled residual of the (2,2) relation; small iff product."""
+    return max(r / w for r, w in _relations_22(s))
 
 
 def _bipartite_splits(zs: tuple[complex, ...], d_a: int, d_b: int, tol: float):

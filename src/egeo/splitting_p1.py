@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import ShapeMismatch, TooLarge, WrongLength
+from .errors import OutOfRange, ShapeMismatch, TooLarge, WrongLength
 
 SIZE_CAP = 36
 
@@ -78,6 +78,8 @@ def factor_sumset(a: SplittingType, d_a: int, d_b: int) -> SumsetFactorization |
     to the smallest degree.
     """
     degrees = a.degrees
+    if d_a < 1 or d_b < 1:
+        raise OutOfRange(f"factor shape must be at least 1 x 1, got {d_a} x {d_b}")
     if len(degrees) != d_a * d_b:
         raise ShapeMismatch(f"{len(degrees)} degrees do not fill a {d_a} x {d_b} shape")
     if len(degrees) > SIZE_CAP:

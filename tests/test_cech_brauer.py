@@ -241,6 +241,61 @@ def test_trivial_class_rescales_to_genuine_cocycle():
         assert np.abs(product - np.eye(2)).max() < 1e-9
 
 
+def divisor_loop_order(c, cover):
+    """The order as the first divisor l of m whose l * c has a coboundary witness: one solve per divisor."""
+    return next(ell for ell in range(1, c.m + 1) if c.m % ell == 0 and coboundary_witness(c, cover, scale=ell) is not None)
+
+
+def seeded_cocycles():
+    rng = np.random.default_rng(71)
+    for p in (2, 3, 4, 5):
+        cover = symbol_cover(p)
+        defect = pgl_cocycle_defect(cover)
+        m = defect.m
+        pairs = sorted({(min(i, j), max(i, j)) for i, j in cover.pairs})
+        b = dict(zip(pairs, rng.integers(0, m, len(pairs)).tolist()))
+        boundary = {(i, j, k): b[(j, k)] - b[(i, k)] + b[(i, j)] for i, j, k in cover.triples}
+        k = int(rng.integers(2, m))
+        for scale in (1, p, k):
+            yield f"p{p}-{scale}x-defect", Cocycle2(m, {t: scale * v % m for t, v in defect.values.items()}), cover
+        yield f"p{p}-{k}x-defect+boundary", Cocycle2(m, {t: (k * v + boundary[t]) % m for t, v in defect.values.items()}), cover
+        yield f"p{p}-boundary", Cocycle2(m, {t: x % m for t, x in boundary.items()}), cover
+    # more triples than pairs and no quadruples, so every cochain is a cocycle:
+    # one dense cochain, then sparse ones whose values share factors with m
+    from itertools import combinations
+
+    skeleton = make_cover(1, [(i, j, [[1]]) for i, j in combinations(range(6), 2)], list(combinations(range(6), 3)), m=12)
+    for trial in range(8):
+        values = dict.fromkeys(skeleton.triples, 0)
+        for at in rng.choice(20, 2 if trial else 20, replace=False):
+            values[skeleton.triples[at]] = int(rng.choice([3, 4, 6]) if trial else rng.integers(1, 12))
+        yield f"simplex-skeleton-{trial}", Cocycle2(12, values), skeleton
+    yield "no-triples", Cocycle2(4, {}), make_cover(2, [(0, 1, np.eye(2))], m=4)
+
+
+def test_class_order_matches_divisor_loop_with_one_snf(monkeypatch):
+    import egeo.cech_brauer
+    import egeo.modular
+
+    calls = []
+
+    def counted(matrix):
+        calls.append(len(matrix))
+        return smith_normal_form(matrix)
+
+    checked = set()
+    for name, c, cover in seeded_cocycles():
+        expected = divisor_loop_order(c, cover)
+        with monkeypatch.context() as patch:
+            patch.setattr(egeo.cech_brauer, "smith_normal_form", counted)
+            patch.setattr(egeo.modular, "smith_normal_form", counted)
+            calls.clear()
+            assert class_order(c, cover) == expected, name
+            assert len(calls) == 1, name
+        checked.add(expected)
+    assert checked >= {1, 2, 3, 4, 5, 9, 16, 25}
+
+
 def test_gauge_invariance_of_class_order():
     cover = symbol_cover(2)
     base_order = class_order(pgl_cocycle_defect(cover), cover)

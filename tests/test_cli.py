@@ -222,7 +222,10 @@ MALFORMED_ARGV = {
     "satake-negative-tol": ["satake", "--eigs=2,0;0.5,0;3,0;0.5,0", "--d", "2,2", "--tol", "-1"],
     "cech-NaN-tol": ["cech", "--p", "2", "--tol", "nan"],
     "cech-zero-da": ["cech", "--p", "2", "--da", "0"],
-    "holonomy-NaN-angle": ["holonomy", "--p", "2", "--loop", "u", "--theta-u", "nan"],
+    "split-negative-shape": ["split", "--degrees", "0,1,2,3", "--shape=-1x-4"],
+    "split-zero-shape": ["split", "--degrees=", "--shape=0x5"],
+    "satake-three-number-eigenvalue": ["satake", "--eigs=1,2,3;1,0;1,0;1,0", "--d", "2,2"],
+    "repro-empty-only": ["repro", "--only", ""],
 }
 
 

@@ -96,8 +96,6 @@ def test_loop_commutator_word():
 def test_holonomy_config_validation():
     with pytest.raises(OutOfRange):
         HolonomyConfig(p=1)
-    with pytest.raises(OutOfRange):
-        HolonomyConfig(p=2, base_point=(2.0 + 0j, 1.0 + 0j))
 
 
 def test_commutator_scalar_examples():

@@ -20,6 +20,7 @@ from egeo import (
     sphericity_check,
     tensor_spectrum,
 )
+from egeo.spectral_satake import margin_22, margin_222
 
 RNG = np.random.default_rng(19)
 
@@ -192,6 +193,70 @@ def test_is_222_product_all_ones_and_wrong_size():
     assert is_222_product(SpectralClass((1.0,) * 8))
     with pytest.raises(WrongSize):
         is_222_product(SpectralClass((1.0,) * 4))
+
+
+# ---------------------------------------------------- verdicts and margins
+
+
+def inline_22(s, tol):
+    """The (2,2) verdict and margin, each written out with its own formula."""
+    e = elem_sym(s)
+    return abs(e[0] - e[2]) <= tol * (1.0 + abs(e[0])), abs(e[0] - e[2]) / (1.0 + abs(e[0]))
+
+
+def inline_222(s, tol):
+    """The (2,2,2) verdict and margin, each written out with its own formula."""
+    e = elem_sym(s)
+    scale = 1.0 + abs(e[2]) ** 2 + 2 * abs(e[0]) * abs(e[2]) + abs(e[0]) ** 4 + (abs(e[3]) + 2 * abs(e[1]) + 1) * abs(e[0]) ** 2
+    verdict = abs(quartic_f(e)) <= tol * scale
+    worst = 0.0
+    for k in (1, 2, 3):
+        if abs(e[8 - k - 1] - e[k - 1]) > tol * (1.0 + max(abs(e[k - 1]), abs(e[8 - k - 1]))):
+            verdict = False
+        worst = max(worst, abs(e[8 - k - 1] - e[k - 1]) / (1.0 + max(abs(e[k - 1]), abs(e[8 - k - 1]))))
+    return verdict, max(worst, abs(quartic_f(e)) / scale)
+
+
+def criteria_cases():
+    rng = np.random.default_rng(59)
+    for factors, inline, verdict, margin in (
+        (2, inline_22, lambda s, tol: is_22_product(s, tol)[0], margin_22),
+        (3, inline_222, is_222_product, margin_222),
+    ):
+        for trial in range(40):
+            product = tensor_spectrum(LocalSpectra(tuple(random_unit_product(rng, 2) for _ in range(factors))))
+            if trial % 3 == 0:
+                s = product
+            elif trial % 3 == 1:
+                s = random_generic(rng, 2**factors)
+            else:  # a product spectrum nudged off the locus by a margin far from 0 and 1
+                vals = list(product.eigenvalues)
+                vals[0] *= 1 + 10.0 ** rng.uniform(-9, -3)
+                s = SpectralClass(tuple(vals))
+            yield s, inline, verdict, margin
+
+
+def test_criteria_verdicts_and_margins_match_inline_formulas():
+    near = 0
+    for s, inline, verdict, margin in criteria_cases():
+        m = margin(s)
+        assert m == inline(s, 1e-9)[1]
+        assert verdict(s, 1e-9) == inline(s, 1e-9)[0]
+        if 0 < m < 1e-3:
+            # the margin sits at tol * (1 - 1e-3), at tol exactly, and at tol * (1 + 1e-3)
+            for tol, expected in ((m / (1 - 1e-3), True), (m, None), (m / (1 + 1e-3), False)):
+                assert verdict(s, tol) == inline(s, tol)[0]
+                if expected is not None:
+                    assert verdict(s, tol) is expected
+            near += 1
+    assert near >= 20
+
+
+def test_margins_need_the_right_size():
+    with pytest.raises(WrongSize):
+        margin_22(SpectralClass((1.0,) * 8))
+    with pytest.raises(WrongSize):
+        margin_222(SpectralClass((1.0,) * 4))
 
 
 # ------------------------------------------------------------------- oracle
