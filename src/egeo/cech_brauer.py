@@ -25,7 +25,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .gluing_sim import _scalar_value, det_normalize, is_local_operator, proj_equal, weyl_ops
-from .modular import smith_normal_form, solve_mod
+from .modular import smith_normal_form
 from .tensor_core import DEFAULT_RANK_TOL, _frozen
 
 SCALAR_TOL = 1e-9
@@ -206,16 +206,6 @@ def _coboundary_matrix(cover: CechCover) -> tuple[list[list[int]], list[tuple[in
     return rows, pairs
 
 
-def coboundary_witness(c: Cocycle2, cover: CechCover, scale: int = 1) -> dict | None:
-    """b on pairs with (delta b)_ijk = scale * c_ijk mod m, or None."""
-    matrix, pairs = _coboundary_matrix(cover)
-    rhs = [(scale * c.exponent(t)) % c.m for t in cover.triples]
-    sol = solve_mod(matrix, rhs, c.m)
-    if sol is None:
-        return None
-    return dict(zip(pairs, sol))
-
-
 def class_order(c: Cocycle2, cover: CechCover) -> int:
     """Smallest l >= 1 such that l * c is a coboundary over Z/m.
 
@@ -230,18 +220,6 @@ def class_order(c: Cocycle2, cover: CechCover) -> int:
     t = [sum(x * y for x, y in zip(row, rhs)) % c.m for row in u]
     g = [gcd(s[i][i] if i < len(pairs) else 0, c.m) for i in range(len(u))]
     return lcm(*(gi // gcd(ti, gi) for gi, ti in zip(g, t)))
-
-
-def rescale_lifts(cover: CechCover, b_exponents: dict, m: int) -> CechCover:
-    """Multiply each canonical lift by zeta_m^(-b): shifts the defect by -delta(b)."""
-    zeta = cmath.exp(2j * cmath.pi / m)
-    new = {}
-    for (i, j), lift in cover.transitions.items():
-        key = (i, j) if (i, j) in b_exponents else (j, i)
-        sign = 1 if (i, j) in b_exponents else -1
-        b = b_exponents.get(key, 0)
-        new[(i, j)] = _frozen(lift * zeta ** (-sign * b))
-    return CechCover(cover.chart_count, cover.n, cover.pairs, new, cover.triples, cover.quadruples, cover.m)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ from .rank_geometry import (
     rank_2x2x2,
     secant_expected_dim,
 )
-from .repro import DEFAULT_SEED, run_battery
 from .separability import separability_report
 from .spectral_satake import (
     SpectralClass,
@@ -312,7 +311,10 @@ def cmd_cech(args) -> tuple[dict, dict, int]:
 
 def cmd_split(args) -> tuple[dict, dict, int]:
     degrees = SplittingType(tuple(_parse_ints(args.degrees)))
-    d_a, d_b = (int(x) for x in args.shape.lower().split("x"))
+    try:
+        d_a, d_b = (int(x) for x in args.shape.lower().split("x"))
+    except ValueError:
+        raise ShapeMismatch(f"--shape must be AxB with integers A and B, e.g. 2x3, got {args.shape!r}") from None
     fact = factor_sumset(degrees, d_a, d_b)
     inputs = {"degrees": list(degrees.degrees), "shape": [d_a, d_b]}
     if fact is None:
@@ -353,8 +355,12 @@ def cmd_satake(args) -> tuple[dict, dict, int]:
 
 
 def cmd_repro(args) -> tuple[dict, dict, int]:
+    # Imported here so that no other subcommand loads the battery and its oracles.
+    from .repro import DEFAULT_SEED, run_battery
+
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     names = args.only.split(",") if args.only is not None else None
-    results = run_battery(seed=args.seed, names=names)
+    results = run_battery(seed=seed, names=names)
     if not results:
         raise EgeoError(f"no checks match {args.only!r}")
     width = max(len(r.name) for r in results)
@@ -365,7 +371,7 @@ def cmd_repro(args) -> tuple[dict, dict, int]:
         "checks": [{"name": r.name, "passed": r.passed} for r in results],
         "all_passed": all(r.passed for r in results),
     }
-    inputs = {"seed": args.seed, "only": args.only}
+    inputs = {"seed": seed, "only": args.only}
     return inputs, outputs, 0 if outputs["all_passed"] else 1
 
 
@@ -444,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_satake)
 
     p = sub.add_parser("repro", help="run the full reproduction battery (table on stderr)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--only", default=None, help="comma-separated check names to run")
     p.set_defaults(handler=cmd_repro)
 

@@ -1,12 +1,10 @@
-"""Exact integer Smith normal form and modular linear solving.
+"""Exact integer Smith normal form.
 
-Used by the Cech machinery to decide whether exponent cochains are
-coboundaries over Z/m without any floating point.
+Used by the Cech machinery to read the order of a class over Z/m
+without any floating point.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 
 def _identity(n: int) -> list[list[int]]:
@@ -84,23 +82,3 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
             continue
         t += 1
     return a, u, v
-
-
-def solve_mod(matrix, rhs, mod: int) -> list[int] | None:
-    """One solution x of matrix @ x = rhs (mod mod), or None if unsolvable."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if rows == 0:
-        return [0] * cols
-    s, u, v = smith_normal_form(matrix)
-    t = [sum(u[i][k] * int(rhs[k]) for k in range(rows)) % mod for i in range(rows)]
-    y = [0] * cols
-    for i in range(rows):
-        d = s[i][i] if i < cols else 0
-        g = gcd(d, mod)
-        if t[i] % g != 0:
-            return None
-        if i < cols and d % mod != 0:
-            mg = mod // g
-            y[i] = ((t[i] // g) * pow((d // g) % mg, -1, mg)) % mod if mg > 1 else 0
-    return [sum(v[i][k] * y[k] for k in range(cols)) % mod for i in range(cols)]

@@ -4,7 +4,8 @@ Each check is independent of the code path it certifies wherever the
 claim pairs an implementation with an oracle: minor enumeration against
 SVD ranks, full partition-lattice search against the bipartition meet,
 monomial linear algebra against the Schur-sum Hilbert function, slot
-search against the polynomial spectral criteria.
+search against the polynomial spectral criteria. The brute-force
+references themselves live in `egeo.oracles`.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import cmath
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb, prod
 
@@ -37,6 +37,7 @@ from .gluing_sim import (
     to_qudit_pair,
     weyl_ops,
 )
+from .oracles import brute_force_finest, monomial_quotient_dim, random_block_product
 from .rank_geometry import (
     determinantal_degree,
     determinantal_dim,
@@ -48,7 +49,7 @@ from .rank_geometry import (
     w_family,
     w_state,
 )
-from .separability import Partition, finest_product_partition, meet
+from .separability import finest_product_partition
 from .spectral_satake import (
     LocalSpectra,
     SpectralClass,
@@ -91,140 +92,9 @@ class CheckResult:
 # ---------------------------------------------------------------- helpers
 
 
-def random_state(rng, dims) -> PureState:
+def _random_state(rng, dims) -> PureState:
     n = int(prod(dims))
     return make_state(dims, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
-
-def random_block_product(rng, dims, blocks) -> PureState:
-    """State that factors exactly along the given blocks, generic inside each."""
-    n = len(dims)
-    factors = []
-    for block in blocks:
-        size = int(prod(dims[i] for i in block))
-        factors.append(rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    vec = factors[0]
-    for f in factors[1:]:
-        vec = np.kron(vec, f)
-    order = [i for block in blocks for i in block]
-    inverse = np.argsort(order)
-    shaped = vec.reshape([dims[i] for i in order]).transpose(inverse)
-    return make_state(dims, shaped.ravel())
-
-
-def set_partitions(n: int):
-    """All partitions of range(n), blocks sorted by minimum."""
-    if n == 0:
-        yield []
-        return
-    for rest in set_partitions(n - 1):
-        element = n - 1
-        yield rest + [[element]]
-        for k in range(len(rest)):
-            yield rest[:k] + [rest[k] + [element]] + rest[k + 1 :]
-
-
-def _leading_factors(state: PureState):
-    """Block -> leading singular vector of the block's side of its flattening.
-
-    Each cut is decomposed once, on first use, and both of its sides are
-    kept, so every lookup after that returns the very same vector.
-    """
-    n = state.n_subsystems
-    factors: dict[tuple[int, ...], np.ndarray] = {}
-
-    def factor(block: tuple[int, ...]) -> np.ndarray:
-        if block not in factors:
-            cut = Bipartition(n, block)
-            u, _, vh = np.linalg.svd(flatten(state, cut).entries)
-            factors[cut.block_a], factors[cut.block_b] = u[:, 0], vh[0, :]
-        return factors[block]
-
-    return factor
-
-
-def _reconstructs(reference: np.ndarray, dims, partition: Partition, factor, tol: float) -> bool:
-    """Projective overlap of the product of the block factors with the normalized state."""
-    if len(partition.blocks) == 1:
-        return True
-    vec = factor(partition.blocks[0])
-    for block in partition.blocks[1:]:
-        vec = np.multiply.outer(vec, factor(block)).ravel()
-    order = [i for block in partition.blocks for i in block]
-    candidate = vec.reshape([dims[i] for i in order]).transpose(np.argsort(order)).ravel()
-    candidate /= np.linalg.norm(candidate)
-    return bool(abs(np.vdot(reference, candidate)) >= 1.0 - tol)
-
-
-def pi_product_by_reconstruction(state: PureState, partition: Partition, tol: float = 1e-8) -> bool:
-    """Oracle factorization test: extract one factor per block, reassemble, compare.
-
-    Independent of the rank-counting route: the verdict is the projective
-    overlap of the reassembled product with the original state.
-    """
-    return _reconstructs(state.normalized().coeffs, state.dims, partition, _leading_factors(state), tol)
-
-
-def brute_force_finest(state: PureState, tol: float = 1e-8) -> Partition:
-    """Meet of every partition that passes the reconstruction oracle.
-
-    The normalized state and each block's factor are computed once and
-    shared by all Bell(n) partitions.
-    """
-    n = state.n_subsystems
-    reference = state.normalized().coeffs
-    factor = _leading_factors(state)
-    finest = Partition.trivial(n)
-    for blocks in set_partitions(n):
-        p = Partition(n, tuple(tuple(b) for b in blocks))
-        if _reconstructs(reference, state.dims, p, factor, tol):
-            finest = meet(finest, p)
-    return finest
-
-
-def monomial_quotient_dim(t: int) -> int:
-    """Degree-t dimension of C[a,b,c,d]/(ad - bc) by explicit linear algebra.
-
-    Builds the multiplication-by-(ad - bc) matrix on monomial bases and
-    subtracts its rank from the count of degree-t monomials.
-    """
-    def monomials(deg):
-        return [
-            (i, j, k, deg - i - j - k)
-            for i in range(deg + 1)
-            for j in range(deg + 1 - i)
-            for k in range(deg + 1 - i - j)
-        ]
-
-    target = monomials(t)
-    if t < 2:
-        return len(target)
-    source = monomials(t - 2)
-    index = {m: i for i, m in enumerate(target)}
-    rows = []
-    for m in source:
-        row = [Fraction(0)] * len(target)
-        up = (m[0] + 1, m[1], m[2], m[3] + 1)  # * ad
-        dn = (m[0], m[1] + 1, m[2] + 1, m[3])  # * bc
-        row[index[up]] += 1
-        row[index[dn]] -= 1
-        rows.append(row)
-    # exact Gaussian elimination
-    rank, lead = 0, 0
-    for col in range(len(target)):
-        piv = next((r for r in range(lead, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        for r in range(len(rows)):
-            if r != lead and rows[r][col] != 0:
-                f = rows[r][col] / rows[lead][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[lead])]
-        lead += 1
-        rank += 1
-        if lead == len(rows):
-            break
-    return len(target) - rank
 
 
 def _bell() -> PureState:
@@ -511,7 +381,7 @@ def check_incidence(rng) -> tuple[bool, str]:
     for trial in range(50):
         n = int(rng.integers(2, 5))
         dims = tuple(int(d) for d in rng.integers(2, 4, n))
-        state = random_state(rng, dims)
+        state = _random_state(rng, dims)
         block = (0,) + tuple(i for i in range(1, n) if rng.random() < 0.4)
         cut = Bipartition(n, block[: n - 1])
         lift = incidence_lift(state, cut)

@@ -157,8 +157,6 @@ def _product_cuts(state: PureState, tol: float) -> Iterator[Bipartition]:
 
 def finest_product_partition(state: PureState, tol: float = DEFAULT_RANK_TOL) -> Partition:
     """Meet of all bipartitions along which the state is product."""
-    if state.n_subsystems == 1:
-        return Partition.trivial(1)
     return separability_report(state, tol).finest
 
 
@@ -178,6 +176,8 @@ class SeparabilityReport:
 
 def separability_report(state: PureState, tol: float = DEFAULT_RANK_TOL) -> SeparabilityReport:
     """Finest product partition, the product cuts, and the GME verdict."""
+    if state.n_subsystems == 1:  # no cuts, and GME needs two subsystems
+        return SeparabilityReport(Partition.trivial(1), (), False)
     cuts = tuple(_product_cuts(state, tol))
     finest = reduce(meet, (Partition.from_bipartition(c) for c in cuts), Partition.trivial(state.n_subsystems))
     return SeparabilityReport(finest, cuts, not cuts)

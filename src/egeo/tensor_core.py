@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -112,8 +113,8 @@ def flatten(state: PureState, cut: Bipartition) -> FlatteningMatrix:
     if cut.n_subsystems != state.n_subsystems:
         raise ShapeMismatch(f"cut is over {cut.n_subsystems} subsystems, state has {state.n_subsystems}")
     a, b = cut.block_a, cut.block_b
-    d_a = int(np.prod([state.dims[i] for i in a]))
-    d_b = int(np.prod([state.dims[i] for i in b]))
+    d_a = prod(state.dims[i] for i in a)
+    d_b = prod(state.dims[i] for i in b)
     m = state.tensor().transpose(a + b).reshape(d_a, d_b)
     return FlatteningMatrix(d_a, d_b, _frozen(m), cut)
 
@@ -185,7 +186,7 @@ class SchmidtDecomposition:
 
 
 def _lex_key(v: np.ndarray):
-    return tuple(x for c in v for x in (round(c.real, 9), round(c.imag, 9)))
+    return tuple(np.round(np.ascontiguousarray(v, dtype=complex).view(np.float64), 9).tolist())
 
 
 def schmidt_decompose(state: PureState, cut: Bipartition, tol: float = DEFAULT_RANK_TOL) -> SchmidtDecomposition:
@@ -218,7 +219,7 @@ def concurrence(state: PureState) -> float:
     """2|det| of the two-qubit flattening; zero exactly on product states."""
     if state.dims != (2, 2):
         raise WrongShape(f"concurrence needs two qubits, got dims {state.dims}")
-    m = flatten(state.normalized(), Bipartition(2, (0,))).entries
+    m = (state.coeffs / state.norm()).reshape(2, 2)
     return float(2.0 * abs(np.linalg.det(m)))
 
 

@@ -19,8 +19,8 @@ from egeo import (
     validate_nerve,
     weyl_ops,
 )
-from egeo.cech_brauer import coboundary_witness, rescale_lifts
-from egeo.modular import smith_normal_form, solve_mod
+from egeo.modular import smith_normal_form
+from egeo.oracles import coboundary_witness, rescale_lifts, solve_mod
 
 
 def vertex_gauge_cover(n, charts, lifts_at_charts, m=None, full_nerve=True):

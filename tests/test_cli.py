@@ -61,6 +61,14 @@ def test_separability_reports_partition_schema(capsys, tmp_path):
     assert report["outputs"]["gme"] is False
 
 
+def test_separability_of_one_subsystem_is_the_trivial_report(capsys, tmp_path):
+    path = tmp_path / "qutrit.json"
+    path.write_text(json.dumps({"dims": [3], "coeffs": [1, [0, 2], 3]}))
+    code, report = invoke(capsys, "separability", "--state", str(path))
+    assert code == 0
+    assert report["outputs"] == {"finest": {"n": 1, "blocks": [[0]]}, "product_bipartitions": [], "gme": False}
+
+
 def test_rank222(capsys, w_file):
     code, report = invoke(capsys, "rank222", "--state", w_file)
     assert code == 0
@@ -175,8 +183,12 @@ def test_non_finite_coefficient_is_usage_error(capsys, tmp_path, value):
 
 
 def test_malformed_shape_is_usage_error(capsys):
-    code, _ = invoke(capsys, "split", "--degrees", "0,1,2,3", "--shape", "2x2x2")
-    assert code == 2
+    for shape in ("2x2x2", "2xq"):
+        code = run(["split", "--degrees", "0,1,2,3", "--shape", shape])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        error = json.loads(captured.err)["error"]
+        assert "--shape" in error and "AxB" in error and repr(shape) in error
 
 
 def test_repro_unknown_check_is_usage_error(capsys):

@@ -21,7 +21,7 @@ from egeo import (
     numerical_rank,
     separability_report,
 )
-from egeo.repro import random_block_product
+from egeo.oracles import random_block_product
 from egeo.tensor_core import DEFAULT_RANK_TOL as TOL
 
 PERTURBATIONS = (0.0, 1e-13, 1e-12, 1e-11, 1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 1e-7, 1e-6)

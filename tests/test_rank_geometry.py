@@ -25,7 +25,7 @@ from egeo import (
     w_family,
     w_state,
 )
-from egeo.repro import monomial_quotient_dim
+from egeo.oracles import monomial_quotient_dim
 
 RNG = np.random.default_rng(23)
 

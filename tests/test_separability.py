@@ -19,7 +19,7 @@ from egeo import (
     refines,
     separability_report,
 )
-from egeo.repro import brute_force_finest, pi_product_by_reconstruction, random_block_product, set_partitions
+from egeo.oracles import brute_force_finest, pi_product_by_reconstruction, random_block_product, set_partitions
 
 RNG = np.random.default_rng(13)
 
