@@ -28,7 +28,6 @@ from .errors import (
 )
 from .tensor_core import (
     Bipartition,
-    FlatteningMatrix,
     IncidenceLift,
     PureState,
     SchmidtDecomposition,
@@ -75,7 +74,6 @@ _LAZY = {
         "w_state",
     ),
     "gluing_sim": (
-        "HolonomyConfig",
         "ProjectiveOperator",
         "SpinChainParams",
         "WeylSystem",

@@ -133,9 +133,6 @@ class Cocycle2:
     m: int
     values: dict
 
-    def exponent(self, triple: tuple[int, int, int]) -> int:
-        return self.values[triple]
-
 
 def _root_exponent(scalar: complex, m: int, tol: float) -> int:
     if abs(abs(scalar) - 1.0) > tol:
@@ -180,14 +177,8 @@ def pgl_cocycle_defect(cover: CechCover, tol: float = SCALAR_TOL) -> Cocycle2:
 
 def is_2cocycle(c: Cocycle2, cover: CechCover) -> bool:
     """Check the alternating-sum identity on every nerve quadruple."""
-    for q in cover.quadruples:
-        i, j, k, l = q
-        total = (
-            c.exponent((j, k, l))
-            - c.exponent((i, k, l))
-            + c.exponent((i, j, l))
-            - c.exponent((i, j, k))
-        )
+    for i, j, k, l in cover.quadruples:
+        total = c.values[(j, k, l)] - c.values[(i, k, l)] + c.values[(i, j, l)] - c.values[(i, j, k)]
         if total % c.m != 0:
             return False
     return True
@@ -216,7 +207,7 @@ def class_order(c: Cocycle2, cover: CechCover) -> int:
         raise NotCocycle("exponent cochain fails the 2-cocycle identity")
     matrix, pairs = _coboundary_matrix(cover)
     s, u, _ = smith_normal_form(matrix)
-    rhs = [c.exponent(tr) for tr in cover.triples]
+    rhs = [c.values[tr] for tr in cover.triples]
     t = [sum(x * y for x, y in zip(row, rhs)) % c.m for row in u]
     g = [gcd(s[i][i] if i < len(pairs) else 0, c.m) for i in range(len(u))]
     return lcm(*(gi // gcd(ti, gi) for gi, ti in zip(g, t)))
@@ -277,7 +268,6 @@ def symbol_cover(p: int) -> CechCover:
         raise OutOfRange(f"symbol cover supports 2 <= p <= 5, got {p}")
     m = p * p
     w = weyl_ops(m)
-    x_inv = np.linalg.matrix_power(w.x_op, m - 1)
     charts = [(a, b) for a in range(_ARC_COUNT) for b in range(_ARC_COUNT)]
     count = len(charts)
 
@@ -285,7 +275,7 @@ def symbol_cover(p: int) -> CechCover:
         (ai, bi), (aj, bj) = charts[i], charts[j]
         s = _arc_jump(ai, aj) % m
         t = _arc_jump(bi, bj) % m
-        g = np.linalg.matrix_power(w.z_op, s) @ np.linalg.matrix_power(x_inv, t)
+        g = np.linalg.matrix_power(w.z_op, s) @ np.linalg.matrix_power(w.x_inv, t)
         return det_normalize(g)
 
     pairs = [(i, j, lift_for(i, j)) for i in range(count) for j in range(i + 1, count)]

@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .errors import EgeoError, OutOfRange, ShapeMismatch
 from .gluing_sim import (
-    HolonomyConfig,
     SpinChainParams,
     apply_holonomy,
     glue_ground_state,
@@ -167,8 +166,11 @@ def cover_from_json(data) -> CechCover:
     )
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in text.replace(" ", "").split(",") if x != ""]
+def _parse_ints(text: str, flag: str) -> list[int]:
+    try:
+        return [int(x) for x in text.replace(" ", "").split(",") if x != ""]
+    except ValueError:
+        raise ShapeMismatch(f"{flag} must be comma-separated integers, got {text!r}") from None
 
 
 def _parse_eigs(text: str) -> list[complex]:
@@ -177,7 +179,10 @@ def _parse_eigs(text: str) -> list[complex]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = [float(x) for x in chunk.split(",")]
+        try:
+            parts = [float(x) for x in chunk.split(",")]
+        except ValueError:
+            raise ShapeMismatch(f"--eigs must be semicolon-separated re or re,im numbers, got {text!r}") from None
         if len(parts) > 2:
             raise ShapeMismatch(f"eigenvalue {chunk!r} must be re or re,im")
         out.append(complex(*parts))
@@ -189,7 +194,7 @@ def _parse_eigs(text: str) -> list[complex]:
 
 def cmd_schmidt(args) -> tuple[dict, dict, int]:
     state = load_state(args.state)
-    cut = Bipartition(state.n_subsystems, tuple(_parse_ints(args.cut)))
+    cut = Bipartition(state.n_subsystems, tuple(_parse_ints(args.cut, "--cut")))
     sd = schmidt_decompose(state, cut, args.tol)
     outputs = {
         "rank": sd.rank,
@@ -245,7 +250,7 @@ def cmd_rank222(args) -> tuple[dict, dict, int]:
 
 
 def cmd_holonomy(args) -> tuple[dict, dict, int]:
-    hol = loop_holonomy(HolonomyConfig(p=args.p, loop_word=args.loop))
+    hol = loop_holonomy(args.p, args.loop)
     local = is_local_operator(hol, args.p, args.p, args.tol)
     demo = make_state([args.p, args.p], [1 if (a, b) in ((0, 0), (1, 0)) else 0 for a in range(args.p) for b in range(args.p)])
     image = apply_holonomy(hol, demo)
@@ -310,7 +315,7 @@ def cmd_cech(args) -> tuple[dict, dict, int]:
 
 
 def cmd_split(args) -> tuple[dict, dict, int]:
-    degrees = SplittingType(tuple(_parse_ints(args.degrees)))
+    degrees = SplittingType(tuple(_parse_ints(args.degrees, "--degrees")))
     try:
         d_a, d_b = (int(x) for x in args.shape.lower().split("x"))
     except ValueError:
@@ -329,7 +334,7 @@ def cmd_split(args) -> tuple[dict, dict, int]:
 
 
 def cmd_satake(args) -> tuple[dict, dict, int]:
-    dims = tuple(_parse_ints(args.d))
+    dims = tuple(_parse_ints(args.d, "--d"))
     s = SpectralClass(tuple(_parse_eigs(args.eigs)))
     e = elem_sym(s)
     verdict = witness = None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadWord, NotCentral, OutOfRange, ShapeMismatch
-from .tensor_core import DEFAULT_RANK_TOL, PureState, _frozen, _svd_rank, make_state
+from .tensor_core import DEFAULT_RANK_TOL, PureState, _frozen, make_state, numerical_rank
 
 WEYL_MAX_DIM = 64
 PROJ_TOL = 1e-9
@@ -23,12 +23,13 @@ PROJ_TOL = 1e-9
 
 @dataclass(frozen=True)
 class WeylSystem:
-    """Clock and shift pair in dimension m with its primitive root of unity."""
+    """Clock and shift pair in dimension m with its primitive root of unity; x_inv = X^(m-1)."""
 
     m: int
     zeta: complex
     x_op: np.ndarray
     z_op: np.ndarray
+    x_inv: np.ndarray
 
 
 def weyl_ops(m: int) -> WeylSystem:
@@ -40,7 +41,7 @@ def weyl_ops(m: int) -> WeylSystem:
     for r in range(m):
         x[(r + 1) % m, r] = 1.0
     z = np.diag([zeta**r for r in range(m)])
-    return WeylSystem(m, zeta, _frozen(x), _frozen(z))
+    return WeylSystem(m, zeta, _frozen(x), _frozen(z), _frozen(np.linalg.matrix_power(x, m - 1)))
 
 
 def det_normalize(g: np.ndarray) -> np.ndarray:
@@ -73,10 +74,6 @@ class ProjectiveOperator:
         norm = det_normalize(lift)  # also certifies invertibility
         object.__setattr__(self, "lift", _frozen(norm))
 
-    @property
-    def dim(self) -> int:
-        return self.lift.shape[0]
-
 
 def _lift(g: np.ndarray | ProjectiveOperator) -> np.ndarray:
     return g.lift if isinstance(g, ProjectiveOperator) else np.asarray(g, dtype=complex)
@@ -100,37 +97,21 @@ def proj_equal(g: np.ndarray | ProjectiveOperator, h: np.ndarray | ProjectiveOpe
     return bool(np.max(np.abs(ga / ga[pos] - ha / ha[pos])) < tol)
 
 
-@dataclass(frozen=True)
-class HolonomyConfig:
-    """Loop data on the unit torus for the dimension-p^2 symbol model."""
-
-    p: int
-    loop_word: str = ""
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise OutOfRange(f"p must be >= 2, got {self.p}")
-
-    @property
-    def m(self) -> int:
-        return self.p**2
-
-
-def loop_holonomy(cfg: HolonomyConfig) -> ProjectiveOperator:
-    """Evaluate a loop word as a product of gauge elements in PGL(m)."""
-    if not cfg.loop_word:
+def loop_holonomy(p: int, loop_word: str) -> ProjectiveOperator:
+    """Evaluate a loop word on the unit torus as a product of gauge elements in PGL(p^2)."""
+    if p < 2:
+        raise OutOfRange(f"p must be >= 2, got {p}")
+    if not loop_word:
         raise BadWord("loop word must be nonempty")
-    w = weyl_ops(cfg.m)
-    x_inv = np.linalg.matrix_power(w.x_op, cfg.m - 1)
-    z_inv = np.conj(w.z_op)
+    w = weyl_ops(p**2)
     gauge = {
         "u": det_normalize(w.z_op),
-        "U": det_normalize(z_inv),
-        "v": det_normalize(x_inv),
+        "U": det_normalize(np.conj(w.z_op)),
+        "v": det_normalize(w.x_inv),
         "V": det_normalize(w.x_op),
     }
-    acc = np.eye(cfg.m, dtype=complex)
-    for letter in cfg.loop_word:
+    acc = np.eye(w.m, dtype=complex)
+    for letter in loop_word:
         if letter not in gauge:
             raise BadWord(f"unknown loop letter {letter!r} (allowed: u U v V)")
         acc = acc @ gauge[letter]
@@ -156,7 +137,7 @@ def _swap_operator(d: int) -> np.ndarray:
 
 def _realignment_rank_one(g: np.ndarray, d_a: int, d_b: int, tol: float) -> bool:
     r = g.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
-    return _svd_rank(r, tol) == 1
+    return numerical_rank(r, tol) == 1
 
 
 def is_local_operator(g: np.ndarray | ProjectiveOperator, d_a: int, d_b: int, tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -262,7 +243,5 @@ def glue_ground_state(params: SpinChainParams) -> PureState:
 
     Equals (|00> + u^(1/4)|11>)/sqrt(2); Schmidt rank 2 whenever u != 0.
     """
-    w = weyl_ops(4)
-    x_inv = np.linalg.matrix_power(w.x_op, 3)
-    glued = apply_holonomy(x_inv, ground_state(params))
+    glued = apply_holonomy(weyl_ops(4).x_inv, ground_state(params))
     return to_qudit_pair(glued, 2)

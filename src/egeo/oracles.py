@@ -64,7 +64,7 @@ def _leading_factors(state: PureState):
     def factor(block: tuple[int, ...]) -> np.ndarray:
         if block not in factors:
             cut = Bipartition(n, block)
-            u, _, vh = np.linalg.svd(flatten(state, cut).entries)
+            u, _, vh = np.linalg.svd(flatten(state, cut))
             factors[cut.block_a], factors[cut.block_b] = u[:, 0], vh[0, :]
         return factors[block]
 
@@ -178,7 +178,7 @@ def solve_mod(matrix, rhs, mod: int) -> list[int] | None:
 def coboundary_witness(c: Cocycle2, cover: CechCover, scale: int = 1) -> dict | None:
     """b on pairs with (delta b)_ijk = scale * c_ijk mod m, or None."""
     matrix, pairs = _coboundary_matrix(cover)
-    rhs = [(scale * c.exponent(t)) % c.m for t in cover.triples]
+    rhs = [(scale * c.values[t]) % c.m for t in cover.triples]
     sol = solve_mod(matrix, rhs, c.m)
     if sol is None:
         return None

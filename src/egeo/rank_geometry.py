@@ -33,13 +33,6 @@ class IntegerPartition:
             raise OutOfRange(f"parts must be positive and weakly decreasing, got {self.parts}")
         object.__setattr__(self, "parts", parts)
 
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
 
 @dataclass(frozen=True)
 class VarietyInvariants:

@@ -41,7 +41,14 @@ class PureState:
         return self.coeffs.reshape(self.dims)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        """Euclidean norm. Outside [1e-150, 1e150] the squares under- or overflow,
+        so there the coefficients are divided by their max modulus first."""
+        with np.errstate(over="ignore"):
+            plain = float(np.linalg.norm(self.coeffs))
+        if 1e-150 <= plain <= 1e150:
+            return plain
+        top = float(np.abs(self.coeffs).max())
+        return top * float(np.linalg.norm(self.coeffs / top))
 
     def normalized(self) -> "PureState":
         return PureState(self.dims, _frozen(self.coeffs / self.norm()))
@@ -93,18 +100,8 @@ class Bipartition:
         return self.complement_of(self.block_a, self.n_subsystems)
 
 
-@dataclass(frozen=True)
-class FlatteningMatrix:
-    """The state's coefficients regrouped into a D_A x D_B matrix."""
-
-    rows: int
-    cols: int
-    entries: np.ndarray
-    source_bipartition: Bipartition
-
-
-def flatten(state: PureState, cut: Bipartition) -> FlatteningMatrix:
-    """Flatten a state along a bipartition.
+def flatten(state: PureState, cut: Bipartition) -> np.ndarray:
+    """Flatten a state along a bipartition into a read-only D_A x D_B complex matrix.
 
     Entry (alpha, beta) is the coefficient at the multi-index obtained by
     merging alpha over the block-A subsystems and beta over the complement,
@@ -116,7 +113,7 @@ def flatten(state: PureState, cut: Bipartition) -> FlatteningMatrix:
     d_a = prod(state.dims[i] for i in a)
     d_b = prod(state.dims[i] for i in b)
     m = state.tensor().transpose(a + b).reshape(d_a, d_b)
-    return FlatteningMatrix(d_a, d_b, _frozen(m), cut)
+    return _frozen(m)
 
 
 def _rank_of(s: np.ndarray, tol: float) -> int:
@@ -126,23 +123,18 @@ def _rank_of(s: np.ndarray, tol: float) -> int:
     return int(np.sum(s > tol * s[0]))
 
 
-def _svd_rank(m: np.ndarray, tol: float) -> int:
-    return _rank_of(np.linalg.svd(m, compute_uv=False), tol)
-
-
 def _check_rank_tol(tol: float) -> None:
     if not 0 < tol < 1:
         raise ShapeMismatch(f"relative tolerance must lie in (0, 1), got {tol}")
 
 
-def numerical_rank(m: FlatteningMatrix | np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
+def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     """Count singular values above tol times the largest one."""
     _check_rank_tol(tol)
-    entries = m.entries if isinstance(m, FlatteningMatrix) else np.asarray(m, dtype=complex)
-    return _svd_rank(entries, tol)
+    return _rank_of(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False), tol)
 
 
-def minor_rank(m: FlatteningMatrix | np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
+def minor_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     """Rank by exhaustive minor enumeration: the independent oracle.
 
     Returns the smallest k such that every (k+1)-minor of the
@@ -150,14 +142,14 @@ def minor_rank(m: FlatteningMatrix | np.ndarray, tol: float = DEFAULT_RANK_TOL) 
     All minors of one order go through one stacked det call; each is the
     same LU as a det of that submatrix alone.
     """
-    entries = m.entries if isinstance(m, FlatteningMatrix) else np.asarray(m, dtype=complex)
-    rows, cols = entries.shape
+    m = np.asarray(m, dtype=complex)
+    rows, cols = m.shape
     if rows > MINOR_SIZE_CAP or cols > MINOR_SIZE_CAP:
         raise TooLarge(f"minor enumeration capped at {MINOR_SIZE_CAP}x{MINOR_SIZE_CAP}, got {rows}x{cols}")
-    top = np.abs(entries).max()
+    top = np.abs(m).max()
     if top == 0.0:
         return 0
-    scaled = entries / top
+    scaled = m / top
     for k in range(min(rows, cols), 0, -1):
         ri = np.array(list(combinations(range(rows), k)))
         ci = np.array(list(combinations(range(cols), k)))
@@ -197,7 +189,7 @@ def schmidt_decompose(state: PureState, cut: Bipartition, tol: float = DEFAULT_R
     sigma are ordered lexicographically on the phase-fixed left vectors.
     """
     norm = state.norm()
-    m = flatten(state.normalized(), cut).entries
+    m = flatten(state, cut) / norm
     u, s, vh = np.linalg.svd(m)
     k = _rank_of(s, tol)
     cols = []
@@ -263,7 +255,7 @@ def incidence_lift(state: PureState, cut: Bipartition, tol: float = DEFAULT_RANK
     space of its transpose; in the chosen bases the flattening takes the
     block form with only the leading k x k block nonzero.
     """
-    m = flatten(state, cut).entries
+    m = flatten(state, cut)
     u, s, vh = np.linalg.svd(m)
     k = max(_rank_of(s, tol), 1)
     ua = u[:, :k]

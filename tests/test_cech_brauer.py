@@ -407,7 +407,7 @@ def test_seam_reassignment_shifts_defect_by_coboundary():
     d_var = pgl_cocycle_defect(variant)
     assert is_2cocycle(d_var, variant)
     assert class_order(d_var, variant) == class_order(d_ref, reference) == 4
-    difference = Cocycle2(m, {t: (d_var.exponent(t) - d_ref.exponent(t)) % m for t in reference.triples})
+    difference = Cocycle2(m, {t: (d_var.values[t] - d_ref.values[t]) % m for t in reference.triples})
     assert coboundary_witness(difference, reference) is not None
 
 

@@ -85,6 +85,15 @@ def test_invariants_table(capsys):
     assert rows[2]["hilbert"] == [1, 4, 10, 20]
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-160, 1e200, 1e300])
+def test_schmidt_of_a_rescaled_ghz_state(capsys, tmp_path, scale):
+    path = tmp_path / "ghz.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "coeffs": [scale] + [0] * 6 + [scale]}))
+    code, report = invoke(capsys, "schmidt", "--state", str(path), "--cut", "0")
+    assert code == 0
+    assert np.allclose(report["outputs"]["sigmas"], [2**-0.5] * 2, rtol=0, atol=1e-12)
+
+
 def test_holonomy_nonlocal_exit(capsys):
     code, report = invoke(capsys, "holonomy", "--p", "2", "--loop", "v")
     assert code == 1
@@ -238,6 +247,17 @@ MALFORMED_ARGV = {
     "split-zero-shape": ["split", "--degrees=", "--shape=0x5"],
     "satake-three-number-eigenvalue": ["satake", "--eigs=1,2,3;1,0;1,0;1,0", "--d", "2,2"],
     "repro-empty-only": ["repro", "--only", ""],
+    "schmidt-cut-not-integer": ["schmidt", "--state", "BELL_FILE", "--cut", "0,x"],
+    "split-degree-not-integer": ["split", "--degrees", "0,1,q,3", "--shape", "2x2"],
+    "satake-type-not-integer": ["satake", "--eigs=1,0;1,0;1,0;1,0", "--d", "2,z"],
+    "satake-complex-literal-eigenvalue": ["satake", "--eigs=1j,0;1,0;1,0;1,0", "--d", "2,2"],
+}
+# Malformed list arguments: the error text starts with the flag's name.
+NAMED_FLAG = {
+    "schmidt-cut-not-integer": "--cut",
+    "split-degree-not-integer": "--degrees",
+    "satake-type-not-integer": "--d",
+    "satake-complex-literal-eigenvalue": "--eigs",
 }
 
 
@@ -250,7 +270,8 @@ def test_malformed_input_exits_2_with_one_json_error_line(capsys, tmp_path, case
         flag = "--cover" if command == "cech" else "--state"
         argv = [command, flag, str(path)] + (["--cut", "0"] if command == "schmidt" else [])
     else:
-        argv = MALFORMED_ARGV[case]
+        (tmp_path / "bell.json").write_text(json.dumps(BELL))
+        argv = [str(tmp_path / "bell.json") if a == "BELL_FILE" else a for a in MALFORMED_ARGV[case]]
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -258,3 +279,5 @@ def test_malformed_input_exits_2_with_one_json_error_line(capsys, tmp_path, case
     (line,) = captured.err.splitlines()
     error = json.loads(line)
     assert error["command"] == argv[0] and error["error"]
+    if case in NAMED_FLAG:
+        assert error["error"].startswith(NAMED_FLAG[case] + " ")

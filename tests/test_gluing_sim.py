@@ -4,7 +4,6 @@ import pytest
 from egeo import (
     BadWord,
     Bipartition,
-    HolonomyConfig,
     NotCentral,
     OutOfRange,
     ShapeMismatch,
@@ -57,6 +56,14 @@ def test_weyl_relations_all_m(m):
     assert np.abs(np.linalg.matrix_power(w.z_op, m) - np.eye(m)).max() < 1e-12
 
 
+def test_weyl_inverse_shift_is_the_power_of_the_shift():
+    for m in range(2, 17):
+        w = weyl_ops(m)
+        assert np.array_equal(w.x_inv, np.linalg.matrix_power(w.x_op, m - 1))
+        assert np.abs(w.x_inv @ w.x_op - np.eye(m)).max() < 1e-12
+        assert not w.x_inv.flags.writeable
+
+
 def test_weyl_bounds():
     with pytest.raises(OutOfRange):
         weyl_ops(1)
@@ -68,24 +75,24 @@ def test_weyl_bounds():
 
 
 def test_loop_letter_u_is_clock_class():
-    hol = loop_holonomy(HolonomyConfig(p=2, loop_word="u"))
+    hol = loop_holonomy(2, "u")
     assert proj_equal(hol.lift, weyl_ops(4).z_op)
 
 
 def test_loop_empty_and_unknown_letters():
     with pytest.raises(BadWord):
-        loop_holonomy(HolonomyConfig(p=2, loop_word=""))
+        loop_holonomy(2, "")
     with pytest.raises(BadWord):
-        loop_holonomy(HolonomyConfig(p=2, loop_word="ux"))
+        loop_holonomy(2, "ux")
 
 
 def test_loop_cancellation():
-    hol = loop_holonomy(HolonomyConfig(p=2, loop_word="uU"))
+    hol = loop_holonomy(2, "uU")
     assert proj_equal(hol.lift, np.eye(4))
 
 
 def test_loop_commutator_word():
-    hol = loop_holonomy(HolonomyConfig(p=2, loop_word="uvUV"))
+    hol = loop_holonomy(2, "uvUV")
     assert proj_equal(hol.lift, np.eye(4))
     w = weyl_ops(4)
     x_inv = np.linalg.matrix_power(w.x_op, 3)
@@ -95,7 +102,9 @@ def test_loop_commutator_word():
 
 def test_holonomy_config_validation():
     with pytest.raises(OutOfRange):
-        HolonomyConfig(p=1)
+        loop_holonomy(1, "u")
+    with pytest.raises(OutOfRange):  # p is checked before the word
+        loop_holonomy(1, "")
 
 
 def test_commutator_scalar_examples():
@@ -142,6 +151,12 @@ def test_local_operator_swap_true():
 def test_local_operator_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         is_local_operator(np.eye(4), 2, 3)
+
+
+def test_local_operator_rejects_tol_outside_unit_interval():
+    for tol in (0.0, 1.0, -1e-9, 2.0):
+        with pytest.raises(ShapeMismatch):
+            is_local_operator(np.eye(4), 2, 2, tol)
 
 
 def test_locality_is_conjugation_covariant():

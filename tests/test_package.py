@@ -10,7 +10,7 @@ import egeo
 
 # Every name `from egeo import *` bound before the lazily loaded submodules.
 EXPORTED = """
-BadNerve BadWord Bipartition CechCover Cocycle2 EgeoError FlatteningMatrix HolonomyConfig IncidenceLift
+BadNerve BadWord Bipartition CechCover Cocycle2 EgeoError IncidenceLift
 IntegerPartition LocalSpectra NotCentral NotCocycle NotPGLCocycle NotRootOfUnity NotSquare OutOfRange Partition
 ProjectiveOperator PureState ReductionReport SchmidtDecomposition SectorDecomposition SeparabilityReport
 ShapeMismatch SpectralClass SpinChainParams SplittingType SumsetFactorization TooLarge VarietyInvariants

@@ -80,20 +80,26 @@ def test_make_state_does_not_normalize():
 
 
 def test_flatten_bell_is_scaled_identity():
-    m = flatten(bell(), CUT01).entries
+    m = flatten(bell(), CUT01)
     assert np.allclose(m, np.eye(2) / np.sqrt(2))
 
 
 def test_flatten_two_qubit_coefficients():
     a, b, c, d = 0.1, 0.2 + 1j, -0.3, 0.7j
-    m = flatten(make_state([2, 2], [a, b, c, d]), CUT01).entries
+    m = flatten(make_state([2, 2], [a, b, c, d]), CUT01)
     assert np.allclose(m, [[a, b], [c, d]])
+
+
+def test_flatten_is_a_read_only_complex_matrix():
+    m = flatten(random_state(np.random.default_rng(17), (2, 3, 2)), Bipartition(3, (1,)))
+    assert type(m) is np.ndarray and m.shape == (4, 3) and m.dtype == complex
+    assert not m.flags.writeable
 
 
 def test_flatten_product_is_outer_product():
     u = RNG.standard_normal(3) + 1j * RNG.standard_normal(3)
     v = RNG.standard_normal(4) + 1j * RNG.standard_normal(4)
-    m = flatten(make_state([3, 4], np.kron(u, v)), Bipartition(2, (0,))).entries
+    m = flatten(make_state([3, 4], np.kron(u, v)), Bipartition(2, (0,)))
     assert np.allclose(m, np.outer(u, v))
 
 
@@ -104,7 +110,7 @@ def test_flatten_cut_mismatch():
 
 def test_flatten_multipartite_grouping():
     st = random_state(RNG, (2, 3, 2))
-    m = flatten(st, Bipartition(3, (0, 2))).entries
+    m = flatten(st, Bipartition(3, (0, 2)))
     t = st.tensor()
     for i in range(2):
         for k in range(2):
@@ -219,7 +225,7 @@ def test_rank_oracle_agreement_on_random_states():
         block = (0,) + tuple(i for i in range(1, n) if rng.random() < 0.5)
         cut = Bipartition(n, block[: n - 1])
         m = flatten(st, cut)
-        if m.rows <= 8 and m.cols <= 8:
+        if max(m.shape) <= 8:
             assert numerical_rank(m) == minor_rank(m)
 
 
@@ -275,7 +281,7 @@ def test_schmidt_contract_on_random_states():
         cut = Bipartition(n, block[: n - 1])
         sd = schmidt_decompose(st, cut)
         assert abs(sum(s * s for s in sd.sigmas) - 1.0) <= 1e-10
-        m = flatten(st.normalized(), cut).entries
+        m = flatten(st.normalized(), cut)
         rebuilt = sd.left_vecs @ np.diag(sd.sigmas) @ sd.right_vecs.T
         assert np.abs(rebuilt - m).max() <= 1e-9
         assert sd.rank == numerical_rank(flatten(st, cut))
@@ -295,11 +301,30 @@ def test_schmidt_records_input_norm():
     assert abs(sd.input_norm - np.sqrt(8)) < 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-160, 1e200, 1e300])
+def test_schmidt_is_scale_safe(scale):
+    ghz = make_state([2, 2, 2], [scale] + [0] * 6 + [scale])
+    sd = schmidt_decompose(ghz, Bipartition(3, (0,)))
+    assert len(sd.sigmas) == 2 and all(abs(s - 2**-0.5) <= 1e-12 for s in sd.sigmas)
+    assert abs(sd.input_norm / (scale * np.sqrt(2)) - 1.0) <= 1e-12
+
+
+def test_norm_in_the_plain_range_is_numpys():
+    rng = np.random.default_rng(19)
+    for scale in (1e-140, 1e-3, 1.0, 1e140):
+        st = make_state([2, 3], scale * rng.standard_normal(6))
+        assert st.norm() == float(np.linalg.norm(st.coeffs))
+
+
 # ------------------------------------------------------------- concurrence
 
 
 def test_concurrence_bell():
     assert abs(concurrence(bell()) - 1.0) <= 1e-12
+
+
+def test_concurrence_is_scale_safe():
+    assert abs(concurrence(make_state([2, 2], [1e-170, 0, 0, 1e-170])) - 1.0) <= 1e-12
 
 
 def test_concurrence_product_zero():
@@ -370,7 +395,7 @@ def test_incidence_lift_rank_two_round_trip():
     st = make_state([3, 3], m)
     lift = incidence_lift(st, Bipartition(2, (0,)))
     assert lift.rank == 2
-    target = flatten(st, Bipartition(2, (0,))).entries
+    target = flatten(st, Bipartition(2, (0,)))
     assert np.abs(reassemble_lift(lift) - target).max() / np.abs(target).max() < 1e-9
 
 
