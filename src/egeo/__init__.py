@@ -26,37 +26,36 @@ from .errors import (
     WrongSize,
     ZeroState,
 )
-from .tensor_core import (
-    Bipartition,
-    IncidenceLift,
-    PureState,
-    SchmidtDecomposition,
-    SectorDecomposition,
-    cofactor_matrix,
-    concurrence,
-    flatten,
-    incidence_lift,
-    make_state,
-    minor_rank,
-    numerical_rank,
-    schmidt_decompose,
-    sector_decompose,
-)
-from .separability import (
-    Partition,
-    SeparabilityReport,
-    bipartitions,
-    finest_product_partition,
-    is_gme,
-    is_pi_product,
-    meet,
-    refines,
-    separability_report,
-)
-# The other submodules load on first access to one of their names (PEP 562),
-# so a process that only scans cuts does not pay the time and memory of
-# importing them.
+# Every submodule loads on first access to one of its names (PEP 562), so
+# `import egeo` loads no numpy and a process pays only for what it uses.
 _LAZY = {
+    "tensor_core": (
+        "Bipartition",
+        "IncidenceLift",
+        "PureState",
+        "SchmidtDecomposition",
+        "SectorDecomposition",
+        "cofactor_matrix",
+        "concurrence",
+        "flatten",
+        "incidence_lift",
+        "make_state",
+        "minor_rank",
+        "numerical_rank",
+        "schmidt_decompose",
+        "sector_decompose",
+    ),
+    "separability": (
+        "Partition",
+        "SeparabilityReport",
+        "bipartitions",
+        "finest_product_partition",
+        "is_gme",
+        "is_pi_product",
+        "meet",
+        "refines",
+        "separability_report",
+    ),
     "rank_geometry": (
         "IntegerPartition",
         "VarietyInvariants",

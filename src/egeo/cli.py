@@ -13,57 +13,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+# Domain modules and numpy are imported inside the functions that use them,
+# so each process loads only what its subcommand runs.
 from . import __version__
-from .errors import EgeoError, OutOfRange, ShapeMismatch
-from .gluing_sim import (
-    SpinChainParams,
-    apply_holonomy,
-    glue_ground_state,
-    ground_state,
-    is_local_operator,
-    loop_holonomy,
-    spin_hamiltonian,
-    to_qudit_pair,
-)
-from .cech_brauer import (
-    CechCover,
-    check_reduction,
-    class_order,
-    is_2cocycle,
-    make_cover,
-    pgl_cocycle_defect,
-    symbol_cover,
-    validate_nerve,
-)
-from .rank_geometry import (
-    determinantal_degree,
-    determinantal_dim,
-    flattening_lower_bound,
-    hilbert_function,
-    rank_2x2x2,
-    secant_expected_dim,
-)
-from .separability import separability_report
-from .spectral_satake import (
-    SpectralClass,
-    d_product_oracle,
-    elem_sym,
-    is_22_product,
-    is_222_product,
-)
-from .splitting_p1 import SplittingType, factor_sumset
-from .tensor_core import (
-    DEFAULT_RANK_TOL,
-    Bipartition,
-    PureState,
-    flatten,
-    make_state,
-    numerical_rank,
-    schmidt_decompose,
-)
+from .errors import DEFAULT_RANK_TOL, EgeoError, OutOfRange, ShapeMismatch, TooLarge
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .cech_brauer import CechCover
+    from .tensor_core import PureState
 
 # ------------------------------------------------------------ serialization
 
@@ -73,10 +34,14 @@ def c2pair(z: complex) -> list[float]:
 
 
 def matrix_json(m: np.ndarray) -> list:
+    import numpy as np
+
     return [[c2pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
 
 
 def vector_json(v: np.ndarray) -> list:
+    import numpy as np
+
     return [c2pair(z) for z in np.asarray(v, dtype=complex).ravel()]
 
 
@@ -119,6 +84,8 @@ def _as_complex(entry) -> complex:
 
 
 def load_state(path: str) -> PureState:
+    from .tensor_core import make_state
+
     with open(path, encoding="utf-8") as fh:
         data = _expect(json.load(fh), "state file", dict)
     dims = _int_list(_member(data, "dims", "state", list), 'state "dims"')
@@ -148,6 +115,8 @@ def cover_to_json(cover: CechCover) -> dict:
 
 
 def cover_from_json(data) -> CechCover:
+    from .cech_brauer import make_cover
+
     _expect(data, "cover", dict)
     pairs = []
     for p in _member(data, "pairs", "cover", list):
@@ -193,6 +162,8 @@ def _parse_eigs(text: str) -> list[complex]:
 
 
 def cmd_schmidt(args) -> tuple[dict, dict, int]:
+    from .tensor_core import Bipartition, schmidt_decompose
+
     state = load_state(args.state)
     cut = Bipartition(state.n_subsystems, tuple(_parse_ints(args.cut, "--cut")))
     sd = schmidt_decompose(state, cut, args.tol)
@@ -208,6 +179,8 @@ def cmd_schmidt(args) -> tuple[dict, dict, int]:
 
 
 def cmd_separability(args) -> tuple[dict, dict, int]:
+    from .separability import separability_report
+
     state = load_state(args.state)
     rep = separability_report(state, args.tol)
     outputs = {
@@ -219,9 +192,13 @@ def cmd_separability(args) -> tuple[dict, dict, int]:
 
 
 def cmd_invariants(args) -> tuple[dict, dict, int]:
+    from .rank_geometry import HILBERT_TMAX_CAP, determinantal_degree, determinantal_dim, hilbert_function, secant_expected_dim
+
     d_a, d_b = args.da, args.db
     if min(d_a, d_b) < 1 or args.tmax < 0:
         raise OutOfRange(f"need --da, --db >= 1 and --tmax >= 0, got {d_a}, {d_b}, {args.tmax}")
+    if args.tmax > HILBERT_TMAX_CAP:
+        raise TooLarge(f"--tmax must be <= {HILBERT_TMAX_CAP}, got {args.tmax}")
     ranks = [args.r] if args.r is not None else list(range(1, min(d_a, d_b) + 1))
     table = []
     for r in ranks:
@@ -241,6 +218,8 @@ def cmd_invariants(args) -> tuple[dict, dict, int]:
 
 
 def cmd_rank222(args) -> tuple[dict, dict, int]:
+    from .rank_geometry import flattening_lower_bound, rank_2x2x2
+
     state = load_state(args.state)
     outputs = {
         "rank": rank_2x2x2(state, args.tol),
@@ -250,6 +229,9 @@ def cmd_rank222(args) -> tuple[dict, dict, int]:
 
 
 def cmd_holonomy(args) -> tuple[dict, dict, int]:
+    from .gluing_sim import apply_holonomy, is_local_operator, loop_holonomy
+    from .tensor_core import Bipartition, flatten, make_state, numerical_rank
+
     hol = loop_holonomy(args.p, args.loop)
     local = is_local_operator(hol, args.p, args.p, args.tol)
     demo = make_state([args.p, args.p], [1 if (a, b) in ((0, 0), (1, 0)) else 0 for a in range(args.p) for b in range(args.p)])
@@ -266,6 +248,11 @@ def cmd_holonomy(args) -> tuple[dict, dict, int]:
 
 
 def cmd_spinchain(args) -> tuple[dict, dict, int]:
+    import numpy as np
+
+    from .gluing_sim import SpinChainParams, glue_ground_state, ground_state, spin_hamiltonian, to_qudit_pair
+    from .tensor_core import Bipartition, flatten, numerical_rank
+
     params = SpinChainParams(args.j, args.delta, args.theta_u, args.branch)
     h = spin_hamiltonian(params)
     gs = ground_state(params)
@@ -284,6 +271,8 @@ def cmd_spinchain(args) -> tuple[dict, dict, int]:
 
 
 def cmd_cech(args) -> tuple[dict, dict, int]:
+    from .cech_brauer import check_reduction, class_order, is_2cocycle, pgl_cocycle_defect, symbol_cover, validate_nerve
+
     if args.cover:
         with open(args.cover, encoding="utf-8") as fh:
             cover = cover_from_json(json.load(fh))
@@ -297,6 +286,8 @@ def cmd_cech(args) -> tuple[dict, dict, int]:
     d_b = args.db if args.db is not None else cover.n // d_a
     validate_nerve(cover)
     defect = pgl_cocycle_defect(cover)
+    if args.da is not None and args.db is None and (cover.n % d_a or d_b < 2):
+        raise ShapeMismatch(f"--da {d_a} does not divide the cover dimension {cover.n} into two factors >= 2")
     report = check_reduction(cover, d_a, d_b, args.tol)
     outputs = {
         "charts": cover.chart_count,
@@ -315,6 +306,8 @@ def cmd_cech(args) -> tuple[dict, dict, int]:
 
 
 def cmd_split(args) -> tuple[dict, dict, int]:
+    from .splitting_p1 import SplittingType, factor_sumset
+
     degrees = SplittingType(tuple(_parse_ints(args.degrees, "--degrees")))
     try:
         d_a, d_b = (int(x) for x in args.shape.lower().split("x"))
@@ -334,6 +327,8 @@ def cmd_split(args) -> tuple[dict, dict, int]:
 
 
 def cmd_satake(args) -> tuple[dict, dict, int]:
+    from .spectral_satake import SpectralClass, d_product_oracle, elem_sym, is_22_product, is_222_product
+
     dims = tuple(_parse_ints(args.d, "--d"))
     s = SpectralClass(tuple(_parse_eigs(args.eigs)))
     e = elem_sym(s)
@@ -360,7 +355,6 @@ def cmd_satake(args) -> tuple[dict, dict, int]:
 
 
 def cmd_repro(args) -> tuple[dict, dict, int]:
-    # Imported here so that no other subcommand loads the battery and its oracles.
     from .repro import DEFAULT_SEED, run_battery
 
     seed = DEFAULT_SEED if args.seed is None else args.seed

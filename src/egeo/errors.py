@@ -1,8 +1,11 @@
-"""Exception types shared across the toolkit.
+"""Exception types and the default rank tolerance shared across the toolkit.
 
 Every domain error is a ValueError subclass so callers that do not care
-about the fine-grained type can catch the usual thing.
+about the fine-grained type can catch the usual thing.  This module imports
+nothing, so the CLI parser can read the default tolerance without numpy.
 """
+
+DEFAULT_RANK_TOL = 1e-9
 
 
 class EgeoError(ValueError):

@@ -18,6 +18,7 @@ from .errors import BadWord, NotCentral, OutOfRange, ShapeMismatch
 from .tensor_core import DEFAULT_RANK_TOL, PureState, _frozen, make_state, numerical_rank
 
 WEYL_MAX_DIM = 64
+HOLONOMY_MAX_P = 8  # the loop holonomy acts in dimension p^2 <= WEYL_MAX_DIM
 PROJ_TOL = 1e-9
 
 
@@ -99,8 +100,8 @@ def proj_equal(g: np.ndarray | ProjectiveOperator, h: np.ndarray | ProjectiveOpe
 
 def loop_holonomy(p: int, loop_word: str) -> ProjectiveOperator:
     """Evaluate a loop word on the unit torus as a product of gauge elements in PGL(p^2)."""
-    if p < 2:
-        raise OutOfRange(f"p must be >= 2, got {p}")
+    if not 2 <= p <= HOLONOMY_MAX_P:
+        raise OutOfRange(f"p must satisfy 2 <= p <= {HOLONOMY_MAX_P} (p^2 <= {WEYL_MAX_DIM}), got {p}")
     if not loop_word:
         raise BadWord("loop word must be nonempty")
     w = weyl_ops(p**2)

@@ -21,6 +21,8 @@ ORACLE_SIZE_CAP = 16
 
 def _unit_product(values) -> tuple[complex, ...]:
     zs = tuple(complex(z) for z in values)
+    if not zs:
+        raise WrongSize("a spectral class needs at least one eigenvalue")
     if not all(map(cmath.isfinite, zs)):
         raise NonFinite("eigenvalues must be finite")
     if any(z == 0 for z in zs):

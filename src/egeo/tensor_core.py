@@ -13,9 +13,8 @@ from math import prod
 
 import numpy as np
 
-from .errors import NonFinite, NotSquare, ShapeMismatch, TooLarge, WrongShape, ZeroState
+from .errors import DEFAULT_RANK_TOL, NonFinite, NotSquare, ShapeMismatch, TooLarge, WrongShape, ZeroState
 
-DEFAULT_RANK_TOL = 1e-9
 MINOR_SIZE_CAP = 8
 
 

@@ -251,6 +251,11 @@ MALFORMED_ARGV = {
     "split-degree-not-integer": ["split", "--degrees", "0,1,q,3", "--shape", "2x2"],
     "satake-type-not-integer": ["satake", "--eigs=1,0;1,0;1,0;1,0", "--d", "2,z"],
     "satake-complex-literal-eigenvalue": ["satake", "--eigs=1j,0;1,0;1,0;1,0", "--d", "2,2"],
+    "satake-empty-eigs": ["satake", "--eigs", "", "--d", "2,2"],
+    "satake-semicolon-only-eigs": ["satake", "--eigs", ";", "--d", "2,2"],
+    "invariants-tmax-past-cap": ["invariants", "--da", "2", "--db", "2", "--tmax", "21"],
+    "holonomy-p-past-cap": ["holonomy", "--p", "9", "--loop", "uv"],
+    "cech-da-not-dividing-cover": ["cech", "--p", "2", "--da", "3"],
 }
 # Malformed list arguments: the error text starts with the flag's name.
 NAMED_FLAG = {
@@ -258,6 +263,13 @@ NAMED_FLAG = {
     "split-degree-not-integer": "--degrees",
     "satake-type-not-integer": "--d",
     "satake-complex-literal-eigenvalue": "--eigs",
+    "invariants-tmax-past-cap": "--tmax",
+}
+# Each error text must contain this: what was wrong, in the numbers the user typed.
+ERROR_TEXT = {
+    "satake-empty-eigs": "at least one eigenvalue",
+    "holonomy-p-past-cap": "2 <= p <= 8 (p^2 <= 64), got 9",
+    "cech-da-not-dividing-cover": "--da 3 does not divide the cover dimension 4",
 }
 
 
@@ -281,3 +293,5 @@ def test_malformed_input_exits_2_with_one_json_error_line(capsys, tmp_path, case
     assert error["command"] == argv[0] and error["error"]
     if case in NAMED_FLAG:
         assert error["error"].startswith(NAMED_FLAG[case] + " ")
+    if case in ERROR_TEXT:
+        assert ERROR_TEXT[case] in error["error"]

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import egeo
 
 # Every name `from egeo import *` bound before the lazily loaded submodules.
@@ -40,11 +42,59 @@ def test_lazy_names_are_the_submodules_objects():
     assert set(EXPORTED) <= set(dir(egeo))
 
 
-def test_import_loads_only_the_scan_modules():
-    code = "import sys, egeo; print(sorted(m for m in sys.modules if m.startswith('egeo')))"
+def _loaded(code: str, *argv: str) -> str:
+    """The egeo modules, and whether numpy, that code leaves loaded in a fresh interpreter."""
+    code += "\nprint(sorted(m for m in sys.modules if m.startswith('egeo')), 'numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(egeo.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env).stdout
-    assert out.strip() == "['egeo', 'egeo.errors', 'egeo.separability', 'egeo.tensor_core']"
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True, env=env).stdout
+
+
+def test_import_loads_only_the_errors_module():
+    assert _loaded("import sys, egeo").strip() == "['egeo', 'egeo.errors'] False"
+
+
+# Run one CLI argv in a fresh interpreter with stdout and stderr captured; print its exit code.
+RUN_ONE_CODE = """
+import contextlib, io, json, sys
+import egeo.cli
+with open("STATE", "w") as fh:
+    json.dump({"dims": [2, 2, 2], "coeffs": [1, 0, 0, 0, 0, 0, 0, 1]}, fh)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = egeo.cli.run(sys.argv[1:])
+    except SystemExit as exc:  # --version and usage errors
+        code = exc.code
+print(code)
+"""
+# argv -> (egeo modules it loads besides egeo, egeo.errors and egeo.cli; whether it loads numpy)
+LOADED_BY = {
+    ("schmidt", "--state", "STATE", "--cut", "0"): ("tensor_core", True),
+    ("separability", "--state", "STATE"): ("separability tensor_core", True),
+    ("invariants", "--da", "2", "--db", "2"): ("rank_geometry separability tensor_core", True),
+    ("rank222", "--state", "STATE"): ("rank_geometry separability tensor_core", True),
+    ("holonomy", "--p", "2", "--loop", "uv"): ("gluing_sim tensor_core", True),
+    ("spinchain",): ("gluing_sim tensor_core", True),
+    ("cech", "--p", "2"): ("cech_brauer gluing_sim modular tensor_core", True),
+    ("split", "--degrees", "0,1,2,3", "--shape", "2x2"): ("splitting_p1", False),
+    ("satake", "--eigs", "2,0;0.5,0;3,0;0.3333333333333333,0", "--d", "2,2"): ("spectral_satake", False),
+    ("repro", "--only", "bell-battery"): (
+        "cech_brauer gluing_sim modular oracles rank_geometry repro separability spectral_satake splitting_p1 tensor_core",
+        True,
+    ),
+    ("--version",): ("", False),
+    ("no-such-command",): ("", False),
+}
+
+
+@pytest.mark.parametrize("argv", list(LOADED_BY), ids=[argv[0] for argv in LOADED_BY])
+def test_each_subcommand_loads_only_its_modules(tmp_path, argv):
+    state = str(tmp_path / "ghz.json")
+    code = RUN_ONE_CODE.replace("STATE", state)
+    names, numpy = LOADED_BY[argv]
+    modules = sorted(["egeo", "egeo.cli", "egeo.errors"] + [f"egeo.{name}" for name in names.split()])
+    exit_code, loaded = _loaded(code, *(state if a == "STATE" else a for a in argv)).split("\n", 1)
+    assert int(exit_code) in {"--version": (0,), "no-such-command": (2,)}.get(argv[0], (0, 1))
+    assert loaded.strip() == f"{modules} {numpy}"
 
 
 def _imports(tree):
@@ -64,34 +114,7 @@ def _imports(tree):
         yield names, where.get(node)
 
 
-# Run in a fresh interpreter with argv [state file, library module...]: import every
-# library module, then call each subcommand but repro once.
-NO_ORACLES_CODE = """
-import contextlib, io, json, sys
-import egeo, egeo.cli
-state, *modules = sys.argv[1:]
-for name in modules:
-    __import__("egeo." + name)
-with open(state, "w") as fh:
-    json.dump({"dims": [2, 2, 2], "coeffs": [1, 0, 0, 0, 0, 0, 0, 1]}, fh)
-for argv in (
-    ["schmidt", "--state", state, "--cut", "0"],
-    ["separability", "--state", state],
-    ["invariants", "--da", "2", "--db", "2"],
-    ["rank222", "--state", state],
-    ["holonomy", "--p", "2", "--loop", "uv"],
-    ["spinchain"],
-    ["cech", "--p", "2"],
-    ["split", "--degrees", "0,1,2,3", "--shape", "2x2"],
-    ["satake", "--eigs", "2,0;0.5,0;3,0;0.3333333333333333,0", "--d", "2,2"],
-):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert egeo.cli.run(argv) in (0, 1), argv
-print(sorted(m for m in ("egeo.oracles", "egeo.repro") if m in sys.modules))
-"""
-
-
-def test_only_the_repro_subcommand_loads_the_battery_and_its_oracles(tmp_path):
+def test_only_the_repro_subcommand_loads_the_battery_and_its_oracles():
     src = Path(egeo.__file__).parent
     modules = sorted(p.stem for p in src.glob("*.py"))
     found = set()
@@ -104,8 +127,3 @@ def test_only_the_repro_subcommand_loads_the_battery_and_its_oracles(tmp_path):
                 assert (name, function) == ("cli", "cmd_repro"), f"{name}.py imports repro in {function}"
                 found.add((name, "repro"))
     assert found == {("repro", "oracles"), ("cli", "repro")}
-    library = [m for m in modules if m not in ("__init__", "oracles", "repro")]
-    argv = [sys.executable, "-c", NO_ORACLES_CODE, str(tmp_path / "ghz.json"), *library]
-    env = {**os.environ, "PYTHONPATH": str(src.parent)}
-    out = subprocess.run(argv, capture_output=True, text=True, check=True, env=env).stdout
-    assert out.strip() == "[]"

@@ -48,6 +48,13 @@ def test_spectral_class_rejects_zero():
         SpectralClass((1.0, 0.0, 2.0))
 
 
+def test_empty_multisets_are_rejected():
+    with pytest.raises(WrongSize):
+        SpectralClass(())
+    with pytest.raises(WrongSize):
+        LocalSpectra(((),))
+
+
 def test_local_spectra_normalized_per_factor():
     loc = LocalSpectra(((2.0, 3.0), (1.0, 5.0)))
     for factor in loc.factors:
