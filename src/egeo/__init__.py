@@ -73,7 +73,6 @@ _LAZY = {
         "w_state",
     ),
     "gluing_sim": (
-        "ProjectiveOperator",
         "SpinChainParams",
         "WeylSystem",
         "apply_holonomy",

@@ -24,11 +24,10 @@ from .errors import (
     OutOfRange,
     ShapeMismatch,
 )
-from .gluing_sim import _scalar_value, det_normalize, is_local_operator, proj_equal, weyl_ops
+from .gluing_sim import PROJ_TOL, _scalar_value, det_normalize, is_local_operator, proj_equal, weyl_ops
 from .modular import smith_normal_form
 from .tensor_core import DEFAULT_RANK_TOL, _frozen
 
-SCALAR_TOL = 1e-9
 ROOT_ORDER_CAP = 64
 
 
@@ -102,7 +101,7 @@ def _canonical_pairs(cover: CechCover) -> list[tuple[int, int]]:
     return out
 
 
-def validate_nerve(cover: CechCover, tol: float = SCALAR_TOL) -> None:
+def validate_nerve(cover: CechCover) -> None:
     """Check downward closure and inverse-pair consistency; raise BadNerve."""
     have = {(min(i, j), max(i, j)) for i, j in cover.pairs}
     for t in cover.triples:
@@ -122,7 +121,7 @@ def validate_nerve(cover: CechCover, tol: float = SCALAR_TOL) -> None:
                 raise BadNerve(f"quadruple {q} lists overlap but triple {face} is missing")
     for i, j in cover.pairs:
         if (j, i) in cover.transitions:
-            if not proj_equal(cover.transitions[(j, i)], np.linalg.inv(cover.transitions[(i, j)]), tol):
+            if not proj_equal(cover.transitions[(j, i)], np.linalg.inv(cover.transitions[(i, j)])):
                 raise BadNerve(f"lifts for ({i}, {j}) and ({j}, {i}) are not inverse up to scalar")
 
 
@@ -134,25 +133,25 @@ class Cocycle2:
     values: dict
 
 
-def _root_exponent(scalar: complex, m: int, tol: float) -> int:
-    if abs(abs(scalar) - 1.0) > tol:
+def _root_exponent(scalar: complex, m: int) -> int:
+    if abs(abs(scalar) - 1.0) > PROJ_TOL:
         raise NotRootOfUnity(f"scalar {scalar} does not lie on the unit circle")
     e = round(m * (cmath.phase(scalar) % (2 * cmath.pi)) / (2 * cmath.pi)) % m
-    if abs(scalar - cmath.exp(2j * cmath.pi * e / m)) > tol:
+    if abs(scalar - cmath.exp(2j * cmath.pi * e / m)) > PROJ_TOL:
         raise NotRootOfUnity(f"scalar {scalar} is not close to a {m}-th root of unity")
     return e
 
 
-def _infer_order(scalar: complex, tol: float) -> int:
-    if abs(abs(scalar) - 1.0) > tol:
+def _infer_order(scalar: complex) -> int:
+    if abs(abs(scalar) - 1.0) > PROJ_TOL:
         raise NotRootOfUnity(f"scalar {scalar} does not lie on the unit circle")
     for order in range(1, ROOT_ORDER_CAP + 1):
-        if abs(scalar**order - 1.0) < tol * order:
+        if abs(scalar**order - 1.0) < PROJ_TOL * order:
             return order
     raise NotRootOfUnity(f"scalar {scalar} has no small root-of-unity order")
 
 
-def pgl_cocycle_defect(cover: CechCover, tol: float = SCALAR_TOL) -> Cocycle2:
+def pgl_cocycle_defect(cover: CechCover) -> Cocycle2:
     """Scalars of all triple products, as exponents in Z/m.
 
     m is taken from the cover when present, otherwise inferred as the lcm
@@ -162,7 +161,7 @@ def pgl_cocycle_defect(cover: CechCover, tol: float = SCALAR_TOL) -> Cocycle2:
     for t in cover.triples:
         i, j, k = t
         product = cover.lift(i, j) @ cover.lift(j, k) @ cover.lift(k, i)
-        scalar = _scalar_value(product, tol)
+        scalar = _scalar_value(product)
         if scalar is None:
             raise NotPGLCocycle("triple product of lifts is not a scalar matrix")
         scalars[t] = scalar
@@ -170,8 +169,8 @@ def pgl_cocycle_defect(cover: CechCover, tol: float = SCALAR_TOL) -> Cocycle2:
     if m is None:
         m = 1
         for c in scalars.values():
-            m = lcm(m, _infer_order(c, tol))
-    values = {t: _root_exponent(c, m, tol) for t, c in scalars.items()}
+            m = lcm(m, _infer_order(c))
+    values = {t: _root_exponent(c, m) for t, c in scalars.items()}
     return Cocycle2(m, values)
 
 

@@ -1,7 +1,9 @@
 """Command-line front end: every subcommand prints one JSON report.
 
 Report schema: {"command", "inputs", "outputs", "tolerances", "version"};
-complex numbers are [re, im] pairs, angles are radians. Exit codes:
+complex numbers are [re, im] pairs, angles are radians. Commands put
+arrays, complex numbers and tuples into a report as they are; one JSON
+hook, `_plain`, encodes them. Exit codes:
 0 success, 1 negative domain verdict (not product / not reducible /
 not local / irreducible) with a full report, 2 input or usage error.
 Reports are deterministic for fixed inputs and seed; the repro table's
@@ -21,28 +23,15 @@ from . import __version__
 from .errors import DEFAULT_RANK_TOL, EgeoError, OutOfRange, ShapeMismatch, TooLarge
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .cech_brauer import CechCover
     from .tensor_core import PureState
 
 # ------------------------------------------------------------ serialization
 
 
-def c2pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def matrix_json(m: np.ndarray) -> list:
-    import numpy as np
-
-    return [[c2pair(z) for z in row] for row in np.asarray(m, dtype=complex)]
-
-
-def vector_json(v: np.ndarray) -> list:
-    import numpy as np
-
-    return [c2pair(z) for z in np.asarray(v, dtype=complex).ravel()]
+def _plain(value):
+    """json's default hook: a complex number becomes [re, im], an array (or numpy scalar) its tolist()."""
+    return [value.real, value.imag] if isinstance(value, complex) else value.tolist()
 
 
 _JSON_TYPES = {
@@ -94,11 +83,7 @@ def load_state(path: str) -> PureState:
 
 
 def state_json(state: PureState) -> dict:
-    return {"dims": list(state.dims), "coeffs": vector_json(state.coeffs)}
-
-
-def partition_json(p) -> dict:
-    return {"n": p.n_subsystems, "blocks": [list(b) for b in p.blocks]}
+    return {"dims": state.dims, "coeffs": state.coeffs}
 
 
 def cover_to_json(cover: CechCover) -> dict:
@@ -106,11 +91,9 @@ def cover_to_json(cover: CechCover) -> dict:
         "n": cover.n,
         "m": cover.m,
         "charts": cover.chart_count,
-        "pairs": [
-            {"i": i, "j": j, "lift": matrix_json(cover.transitions[(i, j)])} for i, j in cover.pairs
-        ],
-        "triples": [list(t) for t in cover.triples],
-        "quads": [list(q) for q in cover.quadruples],
+        "pairs": [{"i": i, "j": j, "lift": cover.transitions[(i, j)]} for i, j in cover.pairs],
+        "triples": cover.triples,
+        "quads": cover.quadruples,
     }
 
 
@@ -169,11 +152,11 @@ def cmd_schmidt(args) -> tuple[dict, dict, int]:
     sd = schmidt_decompose(state, cut, args.tol)
     outputs = {
         "rank": sd.rank,
-        "sigmas": [float(s) for s in sd.sigmas],
-        "left_vecs": matrix_json(sd.left_vecs),
-        "right_vecs": matrix_json(sd.right_vecs),
+        "sigmas": sd.sigmas,
+        "left_vecs": sd.left_vecs,
+        "right_vecs": sd.right_vecs,
         "input_norm": sd.input_norm,
-        "cut": {"block_a": list(cut.block_a), "block_b": list(cut.block_b)},
+        "cut": {"block_a": cut.block_a, "block_b": cut.block_b},
     }
     return {"state": state_json(state), "cut": args.cut}, outputs, 0
 
@@ -184,8 +167,8 @@ def cmd_separability(args) -> tuple[dict, dict, int]:
     state = load_state(args.state)
     rep = separability_report(state, args.tol)
     outputs = {
-        "finest": partition_json(rep.finest),
-        "product_bipartitions": [list(c.block_a) for c in rep.product_bipartitions],
+        "finest": {"n": rep.finest.n_subsystems, "blocks": rep.finest.blocks},
+        "product_bipartitions": [c.block_a for c in rep.product_bipartitions],
         "gme": rep.gme,
     }
     return {"state": state_json(state)}, outputs, 0
@@ -238,7 +221,7 @@ def cmd_holonomy(args) -> tuple[dict, dict, int]:
     image = apply_holonomy(hol, demo)
     cut = Bipartition(2, (0,))
     outputs = {
-        "holonomy": matrix_json(hol.lift),
+        "holonomy": hol,
         "local_operation": local,
         "schmidt_rank_before": numerical_rank(flatten(demo, cut), args.tol),
         "schmidt_rank_after": numerical_rank(flatten(image, cut), args.tol),
@@ -259,10 +242,10 @@ def cmd_spinchain(args) -> tuple[dict, dict, int]:
     glued = glue_ground_state(params)
     cut = Bipartition(2, (0,))
     outputs = {
-        "hamiltonian": matrix_json(h),
-        "spectrum": [float(v) for v in np.linalg.eigvalsh(h)],
-        "ground_state": vector_json(gs.coeffs),
-        "glued_state": vector_json(glued.coeffs),
+        "hamiltonian": h,
+        "spectrum": np.linalg.eigvalsh(h),
+        "ground_state": gs.coeffs,
+        "glued_state": glued.coeffs,
         "schmidt_rank_before": numerical_rank(flatten(to_qudit_pair(gs, 2), cut)),
         "schmidt_rank_after": numerical_rank(flatten(glued, cut)),
     }
@@ -282,12 +265,17 @@ def cmd_cech(args) -> tuple[dict, dict, int]:
         inputs = {"p": args.p, "da": args.da, "db": args.db}
     if any(d is not None and d < 2 for d in (args.da, args.db)):
         raise OutOfRange(f"--da and --db must be >= 2, got {args.da}, {args.db}")
-    d_a = args.da if args.da is not None else int(round(cover.n ** 0.5))
-    d_b = args.db if args.db is not None else cover.n // d_a
     validate_nerve(cover)
     defect = pgl_cocycle_defect(cover)
-    if args.da is not None and args.db is None and (cover.n % d_a or d_b < 2):
-        raise ShapeMismatch(f"--da {d_a} does not divide the cover dimension {cover.n} into two factors >= 2")
+    d_a, d_b = args.da, args.db
+    if d_a is None and d_b is None:
+        d_a = int(round(cover.n ** 0.5))
+        d_b = cover.n // d_a
+    elif d_a is None or d_b is None:  # the other factor is the cofactor of the one given
+        flag, given = ("--da", d_a) if d_b is None else ("--db", d_b)
+        if cover.n % given or cover.n // given < 2:
+            raise ShapeMismatch(f"{flag} {given} does not divide the cover dimension {cover.n} into two factors >= 2")
+        d_a, d_b = (given, cover.n // given) if d_b is None else (cover.n // given, given)
     report = check_reduction(cover, d_a, d_b, args.tol)
     outputs = {
         "charts": cover.chart_count,
@@ -301,7 +289,7 @@ def cmd_cech(args) -> tuple[dict, dict, int]:
     }
     if args.save_cover:
         with open(args.save_cover, "w", encoding="utf-8") as fh:
-            json.dump(cover_to_json(cover), fh)
+            json.dump(cover_to_json(cover), fh, default=_plain)
     return inputs, outputs, 0 if report.reducible else 1
 
 
@@ -314,13 +302,13 @@ def cmd_split(args) -> tuple[dict, dict, int]:
     except ValueError:
         raise ShapeMismatch(f"--shape must be AxB with integers A and B, e.g. 2x3, got {args.shape!r}") from None
     fact = factor_sumset(degrees, d_a, d_b)
-    inputs = {"degrees": list(degrees.degrees), "shape": [d_a, d_b]}
+    inputs = {"degrees": degrees.degrees, "shape": [d_a, d_b]}
     if fact is None:
         return inputs, {"reducible": False, "verdict": "irreducible"}, 1
     outputs = {
         "reducible": True,
-        "b": list(fact.b),
-        "c": list(fact.c),
+        "b": fact.b,
+        "c": fact.c,
         "t": fact.t,
     }
     return inputs, outputs, 0
@@ -336,21 +324,21 @@ def cmd_satake(args) -> tuple[dict, dict, int]:
     if dims == (2, 2):
         verdict, w22 = is_22_product(s, args.tol)
         if w22 is not None:
-            witness = [[c2pair(w22[0]), c2pair(1 / w22[0])], [c2pair(w22[1]), c2pair(1 / w22[1])]]
+            witness = [[w22[0], 1 / w22[0]], [w22[1], 1 / w22[1]]]
     elif dims == (2, 2, 2):
         verdict = is_222_product(s, args.tol)
     oracle = d_product_oracle(s, dims, args.tol)
     if verdict is None:
         verdict = oracle is not None
     if witness is None and oracle is not None:
-        witness = [[c2pair(z) for z in factor] for factor in oracle.factors]
+        witness = oracle.factors
     outputs = {
         "verdict": verdict,
         "oracle_agrees": (oracle is not None) == verdict,
-        "e_values": [c2pair(x) for x in e],
+        "e_values": e,
         "witness": witness,
     }
-    inputs = {"eigs": args.eigs, "d": list(dims)}
+    inputs = {"eigs": args.eigs, "d": dims}
     return inputs, outputs, 0 if verdict else 1
 
 
@@ -358,6 +346,8 @@ def cmd_repro(args) -> tuple[dict, dict, int]:
     from .repro import DEFAULT_SEED, run_battery
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
+    if seed < 0:
+        raise OutOfRange(f"--seed must be >= 0, got {seed}")
     names = args.only.split(",") if args.only is not None else None
     results = run_battery(seed=seed, names=names)
     if not results:
@@ -472,7 +462,7 @@ def run(argv=None) -> int:
             "version": __version__,
         }
         # stdout is strict JSON: a report holding NaN or Infinity is an error, never printed
-        text = json.dumps(report, sort_keys=True, allow_nan=False)
+        text = json.dumps(report, sort_keys=True, allow_nan=False, default=_plain)
     except (ValueError, OSError, KeyError, OverflowError) as exc:  # EgeoError is a ValueError
         print(json.dumps({"command": args.command, "error": str(exc), "version": __version__}), file=sys.stderr)
         return 2

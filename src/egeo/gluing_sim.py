@@ -10,12 +10,13 @@ differs by coboundaries only.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadWord, NotCentral, OutOfRange, ShapeMismatch
-from .tensor_core import DEFAULT_RANK_TOL, PureState, _frozen, make_state, numerical_rank
+from .errors import BadWord, NonFinite, NotCentral, OutOfRange, ShapeMismatch
+from .tensor_core import DEFAULT_RANK_TOL, PureState, _frozen, make_state, numerical_rank, unit_max_modulus
 
 WEYL_MAX_DIM = 64
 HOLONOMY_MAX_P = 8  # the loop holonomy acts in dimension p^2 <= WEYL_MAX_DIM
@@ -26,7 +27,6 @@ PROJ_TOL = 1e-9
 class WeylSystem:
     """Clock and shift pair in dimension m with its primitive root of unity; x_inv = X^(m-1)."""
 
-    m: int
     zeta: complex
     x_op: np.ndarray
     z_op: np.ndarray
@@ -42,7 +42,7 @@ def weyl_ops(m: int) -> WeylSystem:
     for r in range(m):
         x[(r + 1) % m, r] = 1.0
     z = np.diag([zeta**r for r in range(m)])
-    return WeylSystem(m, zeta, _frozen(x), _frozen(z), _frozen(np.linalg.matrix_power(x, m - 1)))
+    return WeylSystem(zeta, _frozen(x), _frozen(z), _frozen(np.linalg.matrix_power(x, m - 1)))
 
 
 def det_normalize(g: np.ndarray) -> np.ndarray:
@@ -62,44 +62,29 @@ def det_normalize(g: np.ndarray) -> np.ndarray:
     return g * scale
 
 
-@dataclass(frozen=True)
-class ProjectiveOperator:
-    """An invertible lift; equality is only meaningful modulo scalars."""
-
-    lift: np.ndarray
-
-    def __post_init__(self):
-        lift = np.asarray(self.lift, dtype=complex)
-        if lift.ndim != 2 or lift.shape[0] != lift.shape[1]:
-            raise ShapeMismatch(f"lift must be square, got shape {lift.shape}")
-        norm = det_normalize(lift)  # also certifies invertibility
-        object.__setattr__(self, "lift", _frozen(norm))
-
-
-def _lift(g: np.ndarray | ProjectiveOperator) -> np.ndarray:
-    return g.lift if isinstance(g, ProjectiveOperator) else np.asarray(g, dtype=complex)
-
-
-def _scalar_value(mat: np.ndarray, tol: float) -> complex | None:
-    """s = trace/n if mat is within tol * max(1, |s|) of s I entrywise, else None."""
+def _scalar_value(mat: np.ndarray) -> complex | None:
+    """s = trace/n if mat is within PROJ_TOL * max(1, |s|) of s I entrywise, else None."""
     n = mat.shape[0]
     scalar = complex(np.trace(mat)) / n
-    return None if np.max(np.abs(mat - scalar * np.eye(n))) > tol * max(1.0, abs(scalar)) else scalar
+    return None if np.max(np.abs(mat - scalar * np.eye(n))) > PROJ_TOL * max(1.0, abs(scalar)) else scalar
 
 
-def proj_equal(g: np.ndarray | ProjectiveOperator, h: np.ndarray | ProjectiveOperator, tol: float = PROJ_TOL) -> bool:
+def proj_equal(g: np.ndarray, h: np.ndarray) -> bool:
     """Projective equality: rescale both by the same max-modulus entry and compare."""
-    ga, ha = _lift(g), _lift(h)
+    ga, ha = np.asarray(g, dtype=complex), np.asarray(h, dtype=complex)
     if ga.shape != ha.shape:
         return False
     pos = np.unravel_index(np.argmax(np.abs(ga)), ga.shape)
-    if abs(ha[pos]) < tol * np.abs(ha).max():
+    if abs(ha[pos]) < PROJ_TOL * np.abs(ha).max():
         return False
-    return bool(np.max(np.abs(ga / ga[pos] - ha / ha[pos])) < tol)
+    return bool(np.max(np.abs(ga / ga[pos] - ha / ha[pos])) < PROJ_TOL)
 
 
-def loop_holonomy(p: int, loop_word: str) -> ProjectiveOperator:
-    """Evaluate a loop word on the unit torus as a product of gauge elements in PGL(p^2)."""
+def loop_holonomy(p: int, loop_word: str) -> np.ndarray:
+    """Evaluate a loop word on the unit torus as a product of gauge elements in PGL(p^2).
+
+    Returns the read-only determinant-1 lift.
+    """
     if not 2 <= p <= HOLONOMY_MAX_P:
         raise OutOfRange(f"p must satisfy 2 <= p <= {HOLONOMY_MAX_P} (p^2 <= {WEYL_MAX_DIM}), got {p}")
     if not loop_word:
@@ -111,18 +96,18 @@ def loop_holonomy(p: int, loop_word: str) -> ProjectiveOperator:
         "v": det_normalize(w.x_inv),
         "V": det_normalize(w.x_op),
     }
-    acc = np.eye(w.m, dtype=complex)
+    acc = np.eye(p * p, dtype=complex)
     for letter in loop_word:
         if letter not in gauge:
             raise BadWord(f"unknown loop letter {letter!r} (allowed: u U v V)")
         acc = acc @ gauge[letter]
-    return ProjectiveOperator(acc)
+    return _frozen(det_normalize(acc))
 
 
-def commutator_scalar(g: np.ndarray | ProjectiveOperator, h: np.ndarray | ProjectiveOperator, tol: float = PROJ_TOL) -> complex:
+def commutator_scalar(g: np.ndarray, h: np.ndarray) -> complex:
     """The central scalar g h g^-1 h^-1, normalized to modulus 1."""
-    ga, ha = _lift(g), _lift(h)
-    scalar = _scalar_value(ga @ ha @ np.linalg.inv(ga) @ np.linalg.inv(ha), tol)
+    ga, ha = np.asarray(g, dtype=complex), np.asarray(h, dtype=complex)
+    scalar = _scalar_value(ga @ ha @ np.linalg.inv(ga) @ np.linalg.inv(ha))
     if scalar is None:
         raise NotCentral("commutator is not a scalar matrix")
     return scalar / abs(scalar)
@@ -141,14 +126,14 @@ def _realignment_rank_one(g: np.ndarray, d_a: int, d_b: int, tol: float) -> bool
     return numerical_rank(r, tol) == 1
 
 
-def is_local_operator(g: np.ndarray | ProjectiveOperator, d_a: int, d_b: int, tol: float = DEFAULT_RANK_TOL) -> bool:
+def is_local_operator(g: np.ndarray, d_a: int, d_b: int, tol: float = DEFAULT_RANK_TOL) -> bool:
     """Membership in the Segre-variety stabilizer.
 
     True iff some scalar multiple of the lift is a Kronecker product
     A (x) B (realignment rank 1), or, when d_a = d_b, becomes one after
     composing with the factor swap.
     """
-    ga = _lift(g)
+    ga = unit_max_modulus(g)
     if ga.shape != (d_a * d_b, d_a * d_b):
         raise ShapeMismatch(f"operator shape {ga.shape} does not match ({d_a * d_b}, {d_a * d_b})")
     if _realignment_rank_one(ga, d_a, d_b, tol):
@@ -186,9 +171,9 @@ def to_qudit_pair(state: PureState, p: int) -> PureState:
     return from_wire(wire_order(state), (p, p))
 
 
-def apply_holonomy(g: np.ndarray | ProjectiveOperator, state: PureState) -> PureState:
+def apply_holonomy(g: np.ndarray, state: PureState) -> PureState:
     """Act on a state by a projective operator (in the wire basis)."""
-    ga = _lift(g)
+    ga = np.asarray(g, dtype=complex)
     m = ga.shape[0]
     if int(np.prod(state.dims)) != m:
         raise ShapeMismatch(f"state dimension {np.prod(state.dims)} does not match operator size {m}")
@@ -205,6 +190,9 @@ class SpinChainParams:
     branch_offset: int = 0
 
     def __post_init__(self):
+        for name in ("j_coupling", "delta", "theta_u"):
+            if not math.isfinite(getattr(self, name)):
+                raise NonFinite(f"{name} must be finite, got {getattr(self, name)}")
         if not self.delta > self.j_coupling > 0:
             raise OutOfRange(f"need delta > J > 0, got J={self.j_coupling}, delta={self.delta}")
         if self.branch_offset not in (0, 1, 2, 3):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import OutOfRange, WrongShape, ZeroState
 from .separability import bipartitions
-from .tensor_core import DEFAULT_RANK_TOL, PureState, flatten, make_state, numerical_rank
+from .tensor_core import DEFAULT_RANK_TOL, PureState, flatten, make_state, numerical_rank, unit_max_modulus
 
 DEGREE_DIM_CAP = 12
 HILBERT_TMAX_CAP = 20  # `invariants --tmax` cap: a 12x12 table takes 0.9 s at 20 and 2.2 s at 25 (2-vCPU VM)
@@ -40,15 +40,13 @@ class VarietyInvariants:
     dim: int
     codim: int
     degree: int
-    d_a: int
-    d_b: int
-    r: int
 
 
 def flattening_lower_bound(state: PureState, tol: float = DEFAULT_RANK_TOL) -> int:
     """Max flattening rank over all bipartitions: a border-rank lower bound."""
     if state.n_subsystems == 1:
         return 1
+    state = PureState(state.dims, unit_max_modulus(state.coeffs))
     return max(numerical_rank(flatten(state, cut), tol) for cut in bipartitions(state.n_subsystems))
 
 
@@ -64,6 +62,7 @@ def rank_2x2x2(state: PureState, tol: float = DEFAULT_RANK_TOL) -> int:
     """
     if state.dims != (2, 2, 2):
         raise WrongShape(f"exact rank implemented only for dims (2,2,2), got {state.dims}")
+    state = PureState(state.dims, unit_max_modulus(state.coeffs))
     ranks = [numerical_rank(flatten(state, cut), tol) for cut in bipartitions(3)]
     if all(r == 1 for r in ranks):
         return 1
@@ -72,8 +71,6 @@ def rank_2x2x2(state: PureState, tol: float = DEFAULT_RANK_TOL) -> int:
         return max(ranks)
     t = state.tensor()
     m0, m1 = t[0], t[1]
-    top = max(np.abs(m0).max(), np.abs(m1).max())
-    m0, m1 = m0 / top, m1 / top
     # Binary quadratic det(a M0 + b M1) = A a^2 + B ab + C b^2; with all
     # flattening ranks 2 it cannot vanish identically.
     qa = np.linalg.det(m0)
@@ -211,4 +208,4 @@ def secant_expected_dim(dims, r: int) -> int:
 
 def variety_invariants(d_a: int, d_b: int, r: int) -> VarietyInvariants:
     dim, codim = determinantal_dim(d_a, d_b, r)
-    return VarietyInvariants(dim, codim, determinantal_degree(d_a, d_b, r), d_a, d_b, r)
+    return VarietyInvariants(dim, codim, determinantal_degree(d_a, d_b, r))

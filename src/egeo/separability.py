@@ -14,7 +14,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import ShapeMismatch, TooLarge
-from .tensor_core import DEFAULT_RANK_TOL, Bipartition, PureState, _check_rank_tol, flatten, numerical_rank
+from .tensor_core import DEFAULT_RANK_TOL, Bipartition, PureState, _check_rank_tol, flatten, numerical_rank, unit_max_modulus
 
 MAX_ENUM_SUBSYSTEMS = 16
 # Below this tolerance the rounding in a residual is no longer small next to
@@ -110,14 +110,16 @@ def _rank_one_test(state: PureState, tol: float) -> Callable[[int], bool]:
     decides.  R is formed on the n-axis tensor, with no flattening, after
     dividing by the pivot's modulus: the verdicts do not depend on scale, and
     with entries of modulus at most 1 no square overflows and the pivot's
-    does not underflow, whatever the scale of the coefficients.
+    does not underflow, whatever the scale of the coefficients.  The SVD
+    sees the same rescaled entries.
     """
     _check_rank_tol(tol)
     n = state.n_subsystems
     t = state.tensor()
-    at = np.unravel_index(int(np.argmax(np.abs(t))), state.dims)
-    m = abs(t[at])
-    t = t.real / m + 1j * (t.imag / m)  # part by part: complex division by a subnormal m overflows
+    with np.errstate(over="ignore"):  # an overflowing modulus is still the largest
+        at = np.unravel_index(int(np.argmax(np.abs(t))), state.dims)
+    t = unit_max_modulus(t)
+    scaled = PureState(state.dims, t.reshape(-1))
     pivot = t[at]
     fixed = [slice(i, i + 1) for i in at]
     free = slice(None)
@@ -133,7 +135,7 @@ def _rank_one_test(state: PureState, tol: float) -> Callable[[int], bool]:
                 return True
             if np.abs(r).max() > reject:
                 return False
-        return numerical_rank(flatten(state, Bipartition(n, _members(mask, n))), tol) == 1
+        return numerical_rank(flatten(scaled, Bipartition(n, _members(mask, n))), tol) == 1
 
     return rank_one
 

@@ -115,6 +115,25 @@ def flatten(state: PureState, cut: Bipartition) -> np.ndarray:
     return _frozen(m)
 
 
+def unit_max_modulus(a: np.ndarray) -> np.ndarray:
+    """a divided by its largest entry modulus, or a itself if it is zero.
+
+    Rank and membership verdicts do not depend on scale, but an SVD or a
+    determinant of subnormal or near-overflow entries does: every
+    scale-sensitive verdict rescales its input once, here.  The parts are
+    divided one by one: numpy divides a complex number by a real one
+    through its reciprocal, which overflows when the divisor is subnormal.
+    """
+    a = np.asarray(a, dtype=complex)
+    with np.errstate(over="ignore"):
+        # The cut scan's pivot modulus: the scalar abs of the largest entry,
+        # which numpy's array abs can round differently in the last bit.
+        top = abs(a.flat[int(np.argmax(np.abs(a)))])
+    if top == np.inf:  # some modulus overflows although both of its parts are finite
+        return unit_max_modulus(a / 2)
+    return a if top == 0.0 else a.real / top + 1j * (a.imag / top)
+
+
 def _rank_of(s: np.ndarray, tol: float) -> int:
     """Count the singular values (descending) above tol times the largest."""
     if s.size == 0 or s[0] == 0.0:
@@ -141,14 +160,10 @@ def minor_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     All minors of one order go through one stacked det call; each is the
     same LU as a det of that submatrix alone.
     """
-    m = np.asarray(m, dtype=complex)
-    rows, cols = m.shape
+    scaled = unit_max_modulus(m)
+    rows, cols = scaled.shape
     if rows > MINOR_SIZE_CAP or cols > MINOR_SIZE_CAP:
         raise TooLarge(f"minor enumeration capped at {MINOR_SIZE_CAP}x{MINOR_SIZE_CAP}, got {rows}x{cols}")
-    top = np.abs(m).max()
-    if top == 0.0:
-        return 0
-    scaled = m / top
     for k in range(min(rows, cols), 0, -1):
         ri = np.array(list(combinations(range(rows), k)))
         ci = np.array(list(combinations(range(cols), k)))
@@ -210,8 +225,8 @@ def concurrence(state: PureState) -> float:
     """2|det| of the two-qubit flattening; zero exactly on product states."""
     if state.dims != (2, 2):
         raise WrongShape(f"concurrence needs two qubits, got dims {state.dims}")
-    m = (state.coeffs / state.norm()).reshape(2, 2)
-    return float(2.0 * abs(np.linalg.det(m)))
+    m = unit_max_modulus(state.coeffs).reshape(2, 2)
+    return float(2.0 * abs(np.linalg.det(m / np.linalg.norm(m))))
 
 
 def cofactor_matrix(m: np.ndarray) -> np.ndarray:

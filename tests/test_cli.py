@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import egeo
 from egeo.cli import run
 
 BELL = {"dims": [2, 2], "coeffs": [[2**-0.5, 0], [0, 0], [0, 0], [2**-0.5, 0]]}
@@ -136,6 +141,24 @@ def test_cech_symbol_cover(capsys, tmp_path):
     assert report2["outputs"] == out
 
 
+def test_cech_with_only_db_reduces_along_its_cofactor(capsys):
+    code, report = invoke(capsys, "cech", "--p", "4", "--db", "2")
+    expected = egeo.check_reduction(egeo.symbol_cover(4), 8, 2)
+    assert report["outputs"]["torsion_bound"] == expected.torsion == 8
+    assert report["outputs"]["pair_locality"] == {f"{i},{j}": v for (i, j), v in sorted(expected.pair_verdicts.items())}
+    assert code == (0 if expected.reducible else 1)
+
+
+def test_rank222_of_a_subnormal_ghz_state_is_2_with_nothing_on_stderr(tmp_path):
+    path = tmp_path / "ghz.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "coeffs": [1e-320] + [0] * 6 + [1e-320]}))
+    env = {**os.environ, "PYTHONPATH": str(Path(egeo.__file__).parents[1])}
+    argv = [sys.executable, "-m", "egeo.cli", "rank222", "--state", str(path)]
+    done = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout)["outputs"] == {"rank": 2, "flattening_lower_bound": 2}
+
+
 def test_split_exit_codes(capsys):
     code, report = invoke(capsys, "split", "--degrees", "0,1,2,3", "--shape", "2x2")
     assert code == 0
@@ -256,6 +279,12 @@ MALFORMED_ARGV = {
     "invariants-tmax-past-cap": ["invariants", "--da", "2", "--db", "2", "--tmax", "21"],
     "holonomy-p-past-cap": ["holonomy", "--p", "9", "--loop", "uv"],
     "cech-da-not-dividing-cover": ["cech", "--p", "2", "--da", "3"],
+    "cech-db-not-dividing-cover": ["cech", "--p", "2", "--db", "3"],
+    "spinchain-Infinity-theta-u": ["spinchain", "--theta-u", "inf"],
+    "spinchain-NaN-theta-u": ["spinchain", "--theta-u", "nan"],
+    "spinchain-Infinity-delta": ["spinchain", "--delta", "inf"],
+    "spinchain-NaN-j": ["spinchain", "--j", "nan"],
+    "repro-negative-seed": ["repro", "--seed", "-1"],
 }
 # Malformed list arguments: the error text starts with the flag's name.
 NAMED_FLAG = {
@@ -270,6 +299,12 @@ ERROR_TEXT = {
     "satake-empty-eigs": "at least one eigenvalue",
     "holonomy-p-past-cap": "2 <= p <= 8 (p^2 <= 64), got 9",
     "cech-da-not-dividing-cover": "--da 3 does not divide the cover dimension 4",
+    "cech-db-not-dividing-cover": "--db 3 does not divide the cover dimension 4",
+    "spinchain-Infinity-theta-u": "theta_u must be finite",
+    "spinchain-NaN-theta-u": "theta_u must be finite",
+    "spinchain-Infinity-delta": "delta must be finite",
+    "spinchain-NaN-j": "j_coupling must be finite",
+    "repro-negative-seed": "--seed must be >= 0, got -1",
 }
 
 

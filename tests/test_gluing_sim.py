@@ -76,7 +76,7 @@ def test_weyl_bounds():
 
 def test_loop_letter_u_is_clock_class():
     hol = loop_holonomy(2, "u")
-    assert proj_equal(hol.lift, weyl_ops(4).z_op)
+    assert proj_equal(hol, weyl_ops(4).z_op)
 
 
 def test_loop_empty_and_unknown_letters():
@@ -88,12 +88,12 @@ def test_loop_empty_and_unknown_letters():
 
 def test_loop_cancellation():
     hol = loop_holonomy(2, "uU")
-    assert proj_equal(hol.lift, np.eye(4))
+    assert proj_equal(hol, np.eye(4))
 
 
 def test_loop_commutator_word():
     hol = loop_holonomy(2, "uvUV")
-    assert proj_equal(hol.lift, np.eye(4))
+    assert proj_equal(hol, np.eye(4))
     w = weyl_ops(4)
     x_inv = np.linalg.matrix_power(w.x_op, 3)
     scalar = commutator_scalar(w.z_op, x_inv)

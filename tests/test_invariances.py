@@ -14,7 +14,21 @@ import cmath
 import numpy as np
 import pytest
 
-from egeo import Partition, bipartitions, finest_product_partition, flatten, make_state, numerical_rank
+from egeo import (
+    Partition,
+    bipartitions,
+    concurrence,
+    finest_product_partition,
+    flatten,
+    flattening_lower_bound,
+    is_local_operator,
+    make_state,
+    minor_rank,
+    numerical_rank,
+    rank_2x2x2,
+    separability_report,
+    weyl_ops,
+)
 from egeo.oracles import brute_force_finest, random_block_product
 
 CASES = 100
@@ -87,3 +101,47 @@ def test_local_invertible_maps_keep_the_finest_partition_and_every_flattening_ra
         assert finest_product_partition(mapped) == expected
         for cut in bipartitions(state.n_subsystems):
             assert numerical_rank(flatten(mapped, cut)) == numerical_rank(flatten(state, cut)), cut
+
+
+# Scales at which plain arithmetic on the entries under- or overflows: the
+# smallest subnormal, a subnormal, and the far ends of the normal range.
+EXTREME_SCALES = [5e-324, 1e-320, 1e-300, 1e300, 1.7e308]
+GHZ = np.array([1, 0, 0, 0, 0, 0, 0, 1.0])
+W = np.array([0, 1, 1, 0, 1, 0, 0, 0.0])
+BELL = np.array([1, 0, 0, 1]) * 2**-0.5
+
+
+def test_tensor_rank_and_flattening_bound_hold_at_every_scale():
+    for scale in EXTREME_SCALES:
+        ghz, w = make_state([2, 2, 2], GHZ * scale), make_state([2, 2, 2], W * scale)
+        assert (rank_2x2x2(ghz), rank_2x2x2(w)) == (2, 3), scale
+        assert flattening_lower_bound(ghz) == flattening_lower_bound(w) == 2, scale
+
+
+def test_minor_rank_and_concurrence_hold_at_every_scale():
+    for scale in EXTREME_SCALES:
+        assert minor_rank(scale * np.eye(3)) == 3, scale
+        assert abs(concurrence(make_state([2, 2], BELL * scale)) - 1.0) <= 1e-12, scale
+
+
+def test_locality_holds_at_every_scale():
+    for scale in EXTREME_SCALES:
+        assert is_local_operator(scale * np.eye(4), 2, 2), scale
+        assert not is_local_operator(scale * weyl_ops(4).x_inv, 2, 2), scale
+
+
+def test_svd_decided_cut_scan_holds_at_every_scale():
+    # Below the certificates' smallest tolerance the SVD decides every cut.
+    for scale in EXTREME_SCALES:
+        state = make_state([2, 2, 2], np.kron([1, 1.0], BELL) * scale)
+        assert separability_report(state, 1e-12).finest == Partition(3, ((0,), (1, 2))), scale
+
+
+def test_verdicts_hold_when_an_entry_modulus_overflows():
+    # Both parts are finite, but |z| = 2.4e308 is not.
+    z = 1.7e308 + 1.7e308j
+    ghz, w = make_state([2, 2, 2], GHZ * z), make_state([2, 2, 2], W * z)
+    assert (rank_2x2x2(ghz), rank_2x2x2(w), flattening_lower_bound(ghz)) == (2, 3, 2)
+    assert separability_report(ghz).gme and separability_report(ghz, 1e-12).gme
+    assert abs(concurrence(make_state([2, 2], np.array([z, 0, 0, z]))) - 1.0) <= 1e-12
+    assert is_local_operator(np.diag([z] * 4), 2, 2)

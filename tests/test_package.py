@@ -14,7 +14,7 @@ import egeo
 EXPORTED = """
 BadNerve BadWord Bipartition CechCover Cocycle2 EgeoError IncidenceLift
 IntegerPartition LocalSpectra NotCentral NotCocycle NotPGLCocycle NotRootOfUnity NotSquare OutOfRange Partition
-ProjectiveOperator PureState ReductionReport SchmidtDecomposition SectorDecomposition SeparabilityReport
+PureState ReductionReport SchmidtDecomposition SectorDecomposition SeparabilityReport
 ShapeMismatch SpectralClass SpinChainParams SplittingType SumsetFactorization TooLarge VarietyInvariants
 WeylSystem WrongLength WrongShape WrongSize ZeroState apply_holonomy bipartitions cech_brauer check_reduction
 class_order cofactor_matrix commutator_scalar concurrence d_product_oracle determinantal_degree
