@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import isqrt
 from typing import TYPE_CHECKING
 
 # Domain modules and numpy are imported inside the functions that use them,
@@ -253,6 +254,14 @@ def cmd_spinchain(args) -> tuple[dict, dict, int]:
     return inputs, outputs, 0
 
 
+def _square_split(n: int) -> tuple[int, int]:
+    """(d, n // d) for the largest divisor 2 <= d <= sqrt(n) of n."""
+    d = next((d for d in range(isqrt(n), 1, -1) if n % d == 0), None)
+    if d is None:
+        raise ShapeMismatch(f"the cover dimension {n} has no split into two factors >= 2; give --da or --db")
+    return d, n // d
+
+
 def cmd_cech(args) -> tuple[dict, dict, int]:
     from .cech_brauer import check_reduction, class_order, is_2cocycle, pgl_cocycle_defect, symbol_cover, validate_nerve
 
@@ -269,8 +278,7 @@ def cmd_cech(args) -> tuple[dict, dict, int]:
     defect = pgl_cocycle_defect(cover)
     d_a, d_b = args.da, args.db
     if d_a is None and d_b is None:
-        d_a = int(round(cover.n ** 0.5))
-        d_b = cover.n // d_a
+        d_a, d_b = _square_split(cover.n)
     elif d_a is None or d_b is None:  # the other factor is the cofactor of the one given
         flag, given = ("--da", d_a) if d_b is None else ("--db", d_b)
         if cover.n % given or cover.n // given < 2:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cech_brauer import CechCover, Cocycle2, _coboundary_matrix
 from .modular import smith_normal_form
-from .separability import Partition, meet
+from .separability import Partition
 from .tensor_core import Bipartition, PureState, _frozen, flatten, make_state
 
 
@@ -71,14 +71,17 @@ def _leading_factors(state: PureState):
     return factor
 
 
-def _reconstructs(reference: np.ndarray, dims, partition: Partition, factor, tol: float) -> bool:
-    """Projective overlap of the product of the block factors with the normalized state."""
-    if len(partition.blocks) == 1:
+def _reconstructs(reference: np.ndarray, dims, blocks, factor, tol: float) -> bool:
+    """Projective overlap of the product of the block factors with the normalized state.
+
+    blocks is a sequence of sorted index sequences, ordered by minimum.
+    """
+    if len(blocks) == 1:
         return True
-    vec = factor(partition.blocks[0])
-    for block in partition.blocks[1:]:
-        vec = np.multiply.outer(vec, factor(block)).ravel()
-    order = [i for block in partition.blocks for i in block]
+    vec = factor(tuple(blocks[0]))
+    for block in blocks[1:]:
+        vec = np.multiply.outer(vec, factor(tuple(block))).ravel()
+    order = [i for block in blocks for i in block]
     candidate = vec.reshape([dims[i] for i in order]).transpose(np.argsort(order)).ravel()
     candidate /= np.linalg.norm(candidate)
     return bool(abs(np.vdot(reference, candidate)) >= 1.0 - tol)
@@ -90,24 +93,31 @@ def pi_product_by_reconstruction(state: PureState, partition: Partition, tol: fl
     Independent of the rank-counting route: the verdict is the projective
     overlap of the reassembled product with the original state.
     """
-    return _reconstructs(state.normalized().coeffs, state.dims, partition, _leading_factors(state), tol)
+    return _reconstructs(state.normalized().coeffs, state.dims, partition.blocks, _leading_factors(state), tol)
 
 
 def brute_force_finest(state: PureState, tol: float = 1e-8) -> Partition:
     """Meet of every partition that passes the reconstruction oracle.
 
     The normalized state and each block's factor are computed once and
-    shared by all Bell(n) partitions.
+    shared by all Bell(n) partitions. A partition that the running meet
+    already refines is skipped: meeting with it changes nothing, whether
+    it passes or not. The running meet is kept as one block label per
+    subsystem.
     """
     n = state.n_subsystems
     reference = state.normalized().coeffs
     factor = _leading_factors(state)
-    finest = Partition.trivial(n)
+    label, count = [0] * n, 1
     for blocks in set_partitions(n):
-        p = Partition(n, tuple(tuple(b) for b in blocks))
-        if _reconstructs(reference, state.dims, p, factor, tol):
-            finest = meet(finest, p)
-    return finest
+        if sum(len({label[i] for i in b}) for b in blocks) == count:
+            continue  # no label is split across blocks: the running meet refines this partition
+        if _reconstructs(reference, state.dims, blocks, factor, tol):
+            block_of = {i: k for k, b in enumerate(blocks) for i in b}
+            keys: dict[tuple[int, int], int] = {}
+            label = [keys.setdefault((label[i], block_of[i]), len(keys)) for i in range(n)]
+            count = len(keys)
+    return Partition(n, tuple(tuple(i for i in range(n) if label[i] == c) for c in range(count)))
 
 
 def monomial_quotient_dim(t: int) -> int:

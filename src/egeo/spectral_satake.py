@@ -162,18 +162,42 @@ def _bipartite_splits(zs: tuple[complex, ...], d_a: int, d_b: int, tol: float):
     row and column, predicts the rest of the grid, and verifies the
     multiset. Root-of-unity rescales are tried to meet the unit-product
     constraint on both sides.
+
+    The multiset check is `_match_multiset` on the predicted interior
+    against the unused eigenvalues: each predicted value, in grid order,
+    takes its nearest unused eigenvalue (the first on a tie), and the
+    choice is rejected at the first value with none within the bound.
+    A predicted value depends only on its row and column entries, so it
+    is computed once per spectrum, with its distances to every eigenvalue.
     """
     rest = list(range(1, len(zs)))
     z00 = zs[0]
+    match_tol = max(tol, 1e-7)
+    predicted: dict[tuple[int, int], tuple[list[float], float]] = {}
+
+    def distances(a: int, b: int) -> tuple[list[float], float]:
+        # interior value col[i] * row[j] / z00 with col[i] = zs[a], row[j] = zs[b]
+        c = zs[a] * zs[b] / z00
+        predicted[(a, b)] = entry = ([abs(c - z) for z in zs], match_tol * (1.0 + abs(c)))
+        return entry
+
+    def matches(col_idx, row_idx, pool: list[int]) -> bool:
+        for a in col_idx:
+            for b in row_idx:
+                dist, bound = predicted.get((a, b)) or distances(a, b)
+                best = min(pool, key=dist.__getitem__)
+                if dist[best] > bound:
+                    return False
+                pool.remove(best)
+        return True
+
     for row_idx in combinations(rest, d_b - 1):
         row_left = [k for k in rest if k not in row_idx]
+        row = [z00] + [zs[k] for k in row_idx]
         for col_idx in combinations(row_left, d_a - 1):
-            remaining = [zs[k] for k in row_left if k not in col_idx]
-            row = [z00] + [zs[k] for k in row_idx]
-            col = [z00] + [zs[k] for k in col_idx]
-            interior = [col[i] * row[j] / z00 for i in range(1, d_a) for j in range(1, d_b)]
-            if not _match_multiset(interior, remaining, max(tol, 1e-7)):
+            if not matches(col_idx, row_idx, [k for k in row_left if k not in col_idx]):
                 continue
+            col = [z00] + [zs[k] for k in col_idx]
             col_prod = prod(col)
             for k in range(d_a):
                 beta0 = cmath.exp((cmath.log(col_prod) + 2j * cmath.pi * k) / d_a)

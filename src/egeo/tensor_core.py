@@ -13,9 +13,10 @@ from math import prod
 
 import numpy as np
 
-from .errors import DEFAULT_RANK_TOL, NonFinite, NotSquare, ShapeMismatch, TooLarge, WrongShape, ZeroState
+from .errors import DEFAULT_RANK_TOL, NonFinite, NotSquare, OutOfRange, ShapeMismatch, TooLarge, WrongShape, ZeroState
 
 MINOR_SIZE_CAP = 8
+SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -39,18 +40,37 @@ class PureState:
         """Coefficients reshaped to one axis per subsystem."""
         return self.coeffs.reshape(self.dims)
 
+    def _unit(self) -> tuple[float, np.ndarray]:
+        """(top, coeffs / top), top the largest modulus. numpy divides a complex
+        array by a real number through its reciprocal, which overflows when the
+        divisor is subnormal, so then the parts are divided one by one."""
+        with np.errstate(over="ignore"):  # a modulus may overflow although its parts are finite
+            top = float(np.abs(self.coeffs).max())
+        if top >= SMALLEST_NORMAL:
+            return top, self.coeffs / top
+        return top, self.coeffs.real / top + 1j * (self.coeffs.imag / top)
+
     def norm(self) -> float:
         """Euclidean norm. Outside [1e-150, 1e150] the squares under- or overflow,
-        so there the coefficients are divided by their max modulus first."""
+        so there the coefficients are divided by their max modulus first.
+        Raises OutOfRange if the norm itself overflows a float."""
         with np.errstate(over="ignore"):
             plain = float(np.linalg.norm(self.coeffs))
         if 1e-150 <= plain <= 1e150:
             return plain
-        top = float(np.abs(self.coeffs).max())
-        return top * float(np.linalg.norm(self.coeffs / top))
+        top, unit = self._unit()
+        norm = top * float(np.linalg.norm(unit))
+        if not np.isfinite(norm):
+            raise OutOfRange(f"the norm of the state overflows a float (it exceeds {np.finfo(float).max:.6g})")
+        return norm
 
     def normalized(self) -> "PureState":
-        return PureState(self.dims, _frozen(self.coeffs / self.norm()))
+        norm = self.norm()
+        if norm >= SMALLEST_NORMAL:
+            return PureState(self.dims, _frozen(self.coeffs / norm))
+        # A subnormal norm keeps only a few digits: normalize the max-modulus-scaled vector.
+        unit = self._unit()[1]
+        return PureState(self.dims, _frozen(unit / np.linalg.norm(unit)))
 
 
 def make_state(dims, coeffs) -> PureState:
@@ -203,7 +223,7 @@ def schmidt_decompose(state: PureState, cut: Bipartition, tol: float = DEFAULT_R
     sigma are ordered lexicographically on the phase-fixed left vectors.
     """
     norm = state.norm()
-    m = flatten(state, cut) / norm
+    m = flatten(state.normalized(), cut)
     u, s, vh = np.linalg.svd(m)
     k = _rank_of(s, tol)
     cols = []

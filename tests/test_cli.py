@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import egeo
-from egeo.cli import run
+from egeo import ShapeMismatch
+from egeo.cli import _square_split, run
 
 BELL = {"dims": [2, 2], "coeffs": [[2**-0.5, 0], [0, 0], [0, 0], [2**-0.5, 0]]}
 W = {"dims": [2, 2, 2], "coeffs": [[0, 0], [1, 0], [1, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0]]}
@@ -149,6 +150,41 @@ def test_cech_with_only_db_reduces_along_its_cofactor(capsys):
     assert code == (0 if expected.reducible else 1)
 
 
+def test_cech_default_split_is_the_largest_divisor_up_to_the_square_root():
+    for n in range(4, 65):
+        old_a = int(round(n**0.5))  # the default before: accepted only when it divides n
+        if n % old_a == 0:
+            assert _square_split(n) == (old_a, n // old_a)
+        divisors = [d for d in range(2, n) if n % d == 0 and d * d <= n]
+        if divisors:
+            assert _square_split(n) == (divisors[-1], n // divisors[-1])
+        else:
+            with pytest.raises(ShapeMismatch, match=f"dimension {n} has no split into two factors >= 2; give --da or --db"):
+                _square_split(n)
+
+
+def identity_cover(tmp_path, n):
+    path = tmp_path / f"cover{n}.json"
+    lift = np.eye(n).tolist()
+    path.write_text(json.dumps({"n": n, "pairs": [{"i": 0, "j": 1, "lift": lift}], "triples": [], "quads": []}))
+    return str(path)
+
+
+def test_cech_without_da_or_db_splits_an_8_dimensional_cover_as_2x4(capsys, tmp_path):
+    code, report = invoke(capsys, "cech", "--cover", identity_cover(tmp_path, 8))
+    assert code == 0
+    assert report["outputs"]["torsion_bound"] == egeo.torsion_bound((2, 4))
+    assert report["inputs"] == {"cover": identity_cover(tmp_path, 8), "da": None, "db": None}
+
+
+def test_cech_without_da_or_db_on_a_prime_dimension_is_an_input_error(capsys, tmp_path):
+    code = run(["cech", "--cover", identity_cover(tmp_path, 5)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    error = json.loads(captured.err)["error"]
+    assert error == "the cover dimension 5 has no split into two factors >= 2; give --da or --db"
+
+
 def test_rank222_of_a_subnormal_ghz_state_is_2_with_nothing_on_stderr(tmp_path):
     path = tmp_path / "ghz.json"
     path.write_text(json.dumps({"dims": [2, 2, 2], "coeffs": [1e-320] + [0] * 6 + [1e-320]}))
@@ -157,6 +193,45 @@ def test_rank222_of_a_subnormal_ghz_state_is_2_with_nothing_on_stderr(tmp_path):
     done = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert (done.returncode, done.stderr) == (0, "")
     assert json.loads(done.stdout)["outputs"] == {"rank": 2, "flattening_lower_bound": 2}
+
+
+def run_cli(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(egeo.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "egeo.cli", *argv], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-320, 5e-324])
+def test_schmidt_of_a_subnormal_ghz_state_with_nothing_on_stderr(tmp_path, scale):
+    path = tmp_path / "ghz.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "coeffs": [scale] + [0] * 6 + [scale]}))
+    done = run_cli("schmidt", "--state", str(path), "--cut", "0")
+    assert (done.returncode, done.stderr) == (0, "")
+    out = json.loads(done.stdout)["outputs"]
+    assert np.allclose(out["sigmas"], [2**-0.5] * 2, rtol=0, atol=1e-12)
+    assert abs(out["input_norm"] - scale * 2**0.5) <= 5e-324  # within one subnormal step
+
+
+def test_schmidt_of_a_state_whose_norm_overflows_names_the_norm(tmp_path):
+    path = tmp_path / "ghz.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "coeffs": [1.7e308] + [0] * 6 + [1.7e308]}))
+    done = run_cli("schmidt", "--state", str(path), "--cut", "0")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert json.loads(done.stderr)["error"].startswith("the norm of the state overflows a float")
+
+
+@pytest.mark.parametrize("exponent", range(-300, 301, 25))
+def test_input_norm_keeps_its_value_at_normal_scales(capsys, tmp_path, exponent):
+    # The norm as computed before subnormal and overflowing norms were handled.
+    rng = np.random.default_rng(exponent + 300)
+    coeffs = (rng.standard_normal(8) + 1j * rng.standard_normal(8)) * 10.0**exponent
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(coeffs))
+    top = float(np.abs(coeffs).max())
+    expected = plain if 1e-150 <= plain <= 1e150 else top * float(np.linalg.norm(coeffs / top))
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "coeffs": [[z.real, z.imag] for z in coeffs]}))
+    code, report = invoke(capsys, "schmidt", "--state", str(path), "--cut", "0,2")
+    assert code == 0 and report["outputs"]["input_norm"] == expected
 
 
 def test_split_exit_codes(capsys):

@@ -1,0 +1,248 @@
+"""The brute-force oracles against verbatim copies of their unshared forms.
+
+`brute_force_finest` skips partitions that its running meet already
+refines, and `d_product_oracle` computes each predicted grid value and its
+distances once per spectrum. Neither may change a verdict or a witness:
+the references below are the oracles as they were before that sharing,
+and every comparison is exact equality.
+"""
+
+import cmath
+from itertools import combinations, permutations
+from math import prod
+
+import numpy as np
+
+from egeo import LocalSpectra, Partition, SpectralClass, d_product_oracle, make_state, meet, tensor_spectrum
+from egeo import oracles, spectral_satake
+from egeo.oracles import _leading_factors, brute_force_finest, random_block_product, set_partitions
+from egeo.spectral_satake import SPECTRAL_TOL, _bipartite_splits
+
+# ------------------------------------------------------------- references
+
+
+def reference_reconstructs(reference, dims, partition, factor, tol):
+    if len(partition.blocks) == 1:
+        return True
+    vec = factor(partition.blocks[0])
+    for block in partition.blocks[1:]:
+        vec = np.multiply.outer(vec, factor(block)).ravel()
+    order = [i for block in partition.blocks for i in block]
+    candidate = vec.reshape([dims[i] for i in order]).transpose(np.argsort(order)).ravel()
+    candidate /= np.linalg.norm(candidate)
+    return bool(abs(np.vdot(reference, candidate)) >= 1.0 - tol)
+
+
+def reference_brute_force_finest(state, tol=1e-8):
+    """Meet of every partition that passes, each partition tested."""
+    n = state.n_subsystems
+    reference = state.normalized().coeffs
+    factor = _leading_factors(state)
+    finest = Partition.trivial(n)
+    for blocks in set_partitions(n):
+        p = Partition(n, tuple(tuple(b) for b in blocks))
+        if reference_reconstructs(reference, state.dims, p, factor, tol):
+            finest = meet(finest, p)
+    return finest
+
+
+def reference_match_multiset(candidates, targets, tol):
+    pool = list(targets)
+    for c in candidates:
+        best, best_err = None, None
+        for k, z in enumerate(pool):
+            err = abs(c - z)
+            if best_err is None or err < best_err:
+                best, best_err = k, err
+        if best is None or best_err > tol * (1.0 + abs(c)):
+            return False
+        pool.pop(best)
+    return not pool
+
+
+def reference_bipartite_splits(zs, d_a, d_b, tol):
+    rest = list(range(1, len(zs)))
+    z00 = zs[0]
+    for row_idx in combinations(rest, d_b - 1):
+        row_left = [k for k in rest if k not in row_idx]
+        for col_idx in combinations(row_left, d_a - 1):
+            remaining = [zs[k] for k in row_left if k not in col_idx]
+            row = [z00] + [zs[k] for k in row_idx]
+            col = [z00] + [zs[k] for k in col_idx]
+            interior = [col[i] * row[j] / z00 for i in range(1, d_a) for j in range(1, d_b)]
+            if not reference_match_multiset(interior, remaining, max(tol, 1e-7)):
+                continue
+            col_prod = prod(col)
+            for k in range(d_a):
+                beta0 = cmath.exp((cmath.log(col_prod) + 2j * cmath.pi * k) / d_a)
+                alpha = tuple(c / beta0 for c in col)
+                alpha0 = z00 / beta0
+                beta = tuple(r / alpha0 for r in row)
+                if abs(prod(alpha) - 1.0) <= tol * 10 and abs(prod(beta) - 1.0) <= tol * 10:
+                    yield alpha, beta
+
+
+def reference_d_product_oracle(s, dims, tol=SPECTRAL_TOL):
+    if len(dims) == 1:
+        return LocalSpectra((s.eigenvalues,))
+    for alpha, beta in reference_bipartite_splits(s.eigenvalues, dims[0], prod(dims[1:]), tol):
+        inner = reference_d_product_oracle(SpectralClass(beta), dims[1:], tol)
+        if inner is not None:
+            return LocalSpectra((alpha,) + inner.factors)
+    return None
+
+
+# ------------------------------------------------------------- d_product_oracle
+
+TYPES = ((2, 2), (2, 2, 2), (2, 3))
+# One eigenvalue moved by this much times (1 + |z|): around the 1e-7 floor of
+# the multiset match, around the verdict tolerance, and well clear of both.
+PERTURBATIONS = (
+    1e-7 * (1 - 1e-3),
+    1e-7 * (1 + 1e-3),
+    SPECTRAL_TOL * (1 - 1e-3),
+    SPECTRAL_TOL * (1 + 1e-3),
+    1e-5,
+)
+
+
+def unit_product(rng, d, spread):
+    out = [cmath.exp(complex(rng.normal(0, spread), rng.normal(0, spread))) for _ in range(d - 1)]
+    return tuple(out) + (1.0 / prod(out),)
+
+
+def seeded_spectra(rng, count):
+    """(type, spectrum): products, products with one eigenvalue perturbed, generic, degenerate."""
+    for trial in range(count):
+        dims = TYPES[trial % len(TYPES)]
+        kind = (trial // len(TYPES)) % 8
+        spread = (0.05, 0.7, 1.5)[trial % 3]
+        product = tensor_spectrum(LocalSpectra(tuple(unit_product(rng, d, spread) for d in dims)))
+        if kind == 0:
+            yield dims, product
+        elif kind <= len(PERTURBATIONS):
+            zs = list(product.eigenvalues)
+            k = int(rng.integers(len(zs)))
+            zs[k] += PERTURBATIONS[kind - 1] * (1 + abs(zs[k])) * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
+            yield dims, SpectralClass(tuple(zs))
+        elif kind == 6:
+            yield dims, SpectralClass(tuple(cmath.exp(complex(rng.normal(), rng.normal())) for _ in range(prod(dims))))
+        else:  # repeated local eigenvalues: many ties in the nearest-match
+            a = (1.0 + 0j,) * dims[0]
+            yield dims, tensor_spectrum(LocalSpectra((a,) + tuple(unit_product(rng, d, spread) for d in dims[1:])))
+
+
+def test_d_product_oracle_matches_the_unshared_reference_witness_for_witness():
+    rng = np.random.default_rng(131)
+    found = 0
+    for dims, s in seeded_spectra(rng, 720):
+        d_rest = prod(dims[1:])
+        got_splits = list(_bipartite_splits(s.eigenvalues, dims[0], d_rest, SPECTRAL_TOL))
+        assert got_splits == list(reference_bipartite_splits(s.eigenvalues, dims[0], d_rest, SPECTRAL_TOL))
+        got = d_product_oracle(s, dims)
+        assert got == reference_d_product_oracle(s, dims)
+        found += got is not None
+    assert 200 < found < 720  # both verdicts are exercised
+
+
+def test_d_product_oracle_matches_the_reference_at_other_tolerances():
+    rng = np.random.default_rng(137)
+    for tol in (1e-12, 1e-8, 1e-6, 1e-4):
+        for dims, s in seeded_spectra(rng, 48):
+            assert d_product_oracle(s, dims, tol) == reference_d_product_oracle(s, dims, tol)
+
+
+def test_bipartite_splits_break_exact_ties_like_the_reference():
+    # With z00 = 1 the predicted values are exactly 1 and 1 + 2e, and 1 +- e
+    # are exactly e from 1: which of the tied pair is taken first decides
+    # whether 1 + 2e still finds a partner within the 1e-7 * (1 + |c|) bound.
+    e = 2.0**-23
+    for perm in set(permutations((1.0, 1.0, 1 + 2 * e, 1 + e, 1 - e))):
+        zs = tuple(complex(z) for z in (1.0,) + perm)
+        assert list(_bipartite_splits(zs, 2, 3, SPECTRAL_TOL)) == list(reference_bipartite_splits(zs, 2, 3, SPECTRAL_TOL))
+
+
+def test_d_product_oracle_computes_each_predicted_value_once_per_spectrum(monkeypatch):
+    calls = []
+    real_abs = abs
+
+    def counting_abs(x):
+        calls.append(x)
+        return real_abs(x)
+
+    monkeypatch.setattr(spectral_satake, "abs", counting_abs, raising=False)
+    rng = np.random.default_rng(163)
+    s = SpectralClass(tuple(cmath.exp(complex(rng.normal(), rng.normal())) for _ in range(8)))
+    assert list(_bipartite_splits(s.eigenvalues, 2, 4, SPECTRAL_TOL)) == []
+    # 7 * 6 ordered (column, row) pairs, each with 8 distances and one bound
+    assert len(calls) <= 7 * 6 * (8 + 1)
+
+
+# ------------------------------------------------------------- brute_force_finest
+
+
+def planted_states(rng, count):
+    """Seeded block products on 2..6 subsystems, perturbed at 0 and 1e-12..1e-6, 1e-8 * (1 +- 1e-3) included."""
+    levels = (0.0, 1e-12, 1e-9, 1e-8 * (1 - 1e-3), 1e-8, 1e-8 * (1 + 1e-3), 1e-7, 1e-6)
+    for trial in range(count):
+        n = 2 + trial % 5
+        dims = tuple(int(d) for d in rng.integers(2, 4 if n < 6 else 3, n))
+        order = list(rng.permutation(n))
+        cuts = sorted(rng.choice(range(1, n), size=int(rng.integers(0, n)), replace=False))
+        edges = [0] + list(cuts) + [n]
+        blocks = [tuple(sorted(order[a:b])) for a, b in zip(edges, edges[1:])]
+        st = random_block_product(rng, dims, blocks)
+        eps = levels[trial % len(levels)]
+        noise = rng.standard_normal(st.coeffs.size) + 1j * rng.standard_normal(st.coeffs.size)
+        yield make_state(dims, st.coeffs + eps * np.linalg.norm(st.coeffs) * noise), Partition(n, tuple(blocks)), eps
+
+
+def test_brute_force_finest_matches_the_unskipped_reference():
+    rng = np.random.default_rng(139)
+    for st, planted, eps in planted_states(rng, 120):
+        got = brute_force_finest(st)
+        assert got == reference_brute_force_finest(st)
+        if eps == 0.0:
+            assert got == planted
+
+
+def test_brute_force_finest_at_the_oracle_tolerance_boundary():
+    # 1e-8 * (1 +- 1e-3) relative noise sits on both sides of the 1e-8 overlap tolerance
+    rng = np.random.default_rng(149)
+    for st, _, _ in planted_states(rng, 40):
+        for tol in (1e-16 * (1 - 1e-3), 1e-16 * (1 + 1e-3), 1e-8 * (1 - 1e-3), 1e-8 * (1 + 1e-3)):
+            assert brute_force_finest(st, tol) == reference_brute_force_finest(st, tol)
+
+
+def test_brute_force_finest_tests_only_the_discrete_partition_of_a_full_product(monkeypatch):
+    # set_partitions yields the discrete partition first; once it passes, the
+    # running meet is discrete and refines every later partition.
+    tested = []
+    real = oracles._reconstructs
+
+    def recording(reference, dims, blocks, factor, tol):
+        tested.append([tuple(b) for b in blocks])
+        return real(reference, dims, blocks, factor, tol)
+
+    monkeypatch.setattr(oracles, "_reconstructs", recording)
+    rng = np.random.default_rng(151)
+    state = random_block_product(rng, (2, 3, 2, 2, 3), [(i,) for i in range(5)])
+    assert brute_force_finest(state) == Partition.discrete(5)
+    assert tested == [[(0,), (1,), (2,), (3,), (4,)]]
+
+
+def test_brute_force_finest_tests_every_partition_of_an_entangled_state(monkeypatch):
+    # The running meet of a GME state stays trivial, which refines no other
+    # partition, so all Bell(5) - 1 = 51 multi-block partitions are tested.
+    tested = []
+    real = oracles._reconstructs
+
+    def recording(reference, dims, blocks, factor, tol):
+        tested.append(len(blocks))
+        return real(reference, dims, blocks, factor, tol)
+
+    monkeypatch.setattr(oracles, "_reconstructs", recording)
+    rng = np.random.default_rng(157)
+    state = make_state((2,) * 5, rng.standard_normal(32) + 1j * rng.standard_normal(32))
+    assert brute_force_finest(state) == Partition.trivial(5)
+    assert len(tested) == 51 and 1 not in tested
