@@ -472,10 +472,14 @@ def run(argv=None) -> int:
         # stdout is strict JSON: a report holding NaN or Infinity is an error, never printed
         text = json.dumps(report, sort_keys=True, allow_nan=False, default=_plain)
     except (ValueError, OSError, KeyError, OverflowError) as exc:  # EgeoError is a ValueError
-        print(json.dumps({"command": args.command, "error": str(exc), "version": __version__}), file=sys.stderr)
-        return 2
-    print(text)
-    return code
+        error = exc
+    except MemoryError as exc:  # numpy's text names the allocation that failed
+        error = TooLarge(f"the input needs more memory than is available: {exc}")
+    else:
+        print(text)
+        return code
+    print(json.dumps({"command": args.command, "error": str(error), "version": __version__}), file=sys.stderr)
+    return 2
 
 
 def main() -> None:

@@ -166,8 +166,8 @@ def from_wire(vec: np.ndarray, dims) -> PureState:
 
 def to_qudit_pair(state: PureState, p: int) -> PureState:
     """Reinterpret a dimension-p^2 state as two p-level subsystems (r = a + p*b)."""
-    if int(np.prod(state.dims)) != p * p:
-        raise ShapeMismatch(f"state dimension {np.prod(state.dims)} is not p^2 = {p * p}")
+    if math.prod(state.dims) != p * p:
+        raise ShapeMismatch(f"state dimension {math.prod(state.dims)} is not p^2 = {p * p}")
     return from_wire(wire_order(state), (p, p))
 
 
@@ -175,8 +175,8 @@ def apply_holonomy(g: np.ndarray, state: PureState) -> PureState:
     """Act on a state by a projective operator (in the wire basis)."""
     ga = np.asarray(g, dtype=complex)
     m = ga.shape[0]
-    if int(np.prod(state.dims)) != m:
-        raise ShapeMismatch(f"state dimension {np.prod(state.dims)} does not match operator size {m}")
+    if math.prod(state.dims) != m:
+        raise ShapeMismatch(f"state dimension {math.prod(state.dims)} does not match operator size {m}")
     return from_wire(ga @ wire_order(state), state.dims)
 
 

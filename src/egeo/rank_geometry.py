@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod, sqrt
 
 import numpy as np
 
 from .errors import OutOfRange, WrongShape, ZeroState
-from .separability import bipartitions
-from .tensor_core import DEFAULT_RANK_TOL, PureState, flatten, make_state, numerical_rank, unit_max_modulus
+from .separability import CERTIFY_MIN_TOL, bipartitions
+from .tensor_core import DEFAULT_RANK_TOL, Bipartition, PureState, flatten, make_state, numerical_rank, unit_max_modulus
 
 DEGREE_DIM_CAP = 12
 HILBERT_TMAX_CAP = 20  # `invariants --tmax` cap: a 12x12 table takes 0.9 s at 20 and 2.2 s at 25 (2-vCPU VM)
@@ -43,11 +43,78 @@ class VarietyInvariants:
 
 
 def flattening_lower_bound(state: PureState, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Max flattening rank over all bipartitions: a border-rank lower bound."""
+    """Max flattening rank over all bipartitions: a border-rank lower bound.
+
+    A cut's rank is at most min(D_A, D_B), so the cuts are visited by
+    descending min(D_A, D_B) and the scan stops at the first one that
+    cannot exceed the running max k.  For tol >= CERTIFY_MIN_TOL, a cut
+    visited with k >= 1 first tries `_rank_at_most`'s certificate that its
+    rank is <= k, and is skipped if that holds; every other cut takes the
+    SVD, so the bound is the SVD's.  Once a certificate fails on a cut the
+    SVD puts at rank <= k, the SVD decides every cut left.
+    """
     if state.n_subsystems == 1:
         return 1
     state = PureState(state.dims, unit_max_modulus(state.coeffs))
-    return max(numerical_rank(flatten(state, cut), tol) for cut in bipartitions(state.n_subsystems))
+    total = prod(state.dims)
+
+    def min_side(cut: Bipartition) -> int:
+        d_a = prod(state.dims[i] for i in cut.block_a)
+        return min(d_a, total // d_a)
+
+    certify = tol >= CERTIFY_MIN_TOL
+    best, omega = 0, None
+    for cut in sorted(bipartitions(state.n_subsystems), key=min_side, reverse=True):  # stable
+        if min_side(cut) <= best:
+            break
+        m = flatten(state, cut)
+        if certify and best and _rank_at_most(m, omega, tol):
+            continue
+        rank = numerical_rank(m, tol)
+        if rank > best:
+            # Every cut left has min(D_A, D_B) > rank, so its long side is at most total // (rank + 1).
+            best, omega = rank, _sketch(total // (rank + 1), rank)
+        else:
+            # The certificate failed on a cut of rank <= best: noise this close to tol
+            # defeats it, so the SVD alone decides the cuts left.
+            certify = False
+    return best
+
+
+def _sketch(d: int, k: int) -> np.ndarray:
+    """The fixed d x k test matrix exp(2 pi i frac(i j phi + j sqrt 2)).
+
+    Entry (i, j) does not depend on d, so its first rows are the sketch of
+    any shorter side.  It is a formula, not a random draw, so that no
+    process loads numpy.random for it.
+    """
+    i, j = np.ogrid[:d, :k]
+    return np.exp(2j * np.pi * np.modf(i * j * ((1 + sqrt(5)) / 2) + j * sqrt(2))[0])
+
+
+def _rank_at_most(m: np.ndarray, omega: np.ndarray, tol: float) -> bool:
+    """True when a range sketch proves sigma_(k+1)(m) <= tol/2 sigma_1(m).
+
+    With m wide (transposed if tall) and Omega the first rows of the
+    k-column `_sketch`, Q = qr(m Omega), B = Q^H m and E = m - Q B: QB has
+    rank <= k, so sigma_(k+1) <= ||E||_F (Eckart-Young), and B has k rows
+    with ||B||_2 <= sigma_1, so sigma_1 >= ||B||_F / sqrt(k).  Hence
+    ||E||_F^2 <= (tol/2)^2 ||B||_F^2 / k proves sigma_(k+1) <= tol/2 sigma_1,
+    and the SVD, whose rounding is far below that factor-2 margin, would
+    count at most k singular values above tol sigma_1.  E is formed entry
+    by entry: ||m||^2 - ||B||^2 or a Gram matrix would square m and put its
+    rounding (about 1e-8 sigma_1) above tol.  Below CERTIFY_MIN_TOL the
+    rounding is no longer small next to the margin, so there the SVD
+    decides every cut.  False proves nothing.
+    """
+    if m.shape[0] > m.shape[1]:
+        m = m.T
+    k = omega.shape[1]
+    q = np.linalg.qr(m @ omega[: m.shape[1]])[0]
+    b = (m.T @ q.conj()).T  # = Q^H m, with m as BLAS's first operand: it packs no copy of m into new pages
+    e = q @ b
+    e -= m  # -E, in place
+    return np.vdot(e, e).real <= (0.5 * tol) ** 2 * np.vdot(b, b).real / k
 
 
 def rank_2x2x2(state: PureState, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -202,7 +269,7 @@ def secant_expected_dim(dims, r: int) -> int:
     if r < 1:
         raise OutOfRange("secant index must be >= 1")
     dims = [int(d) for d in dims]
-    ambient = int(np.prod(dims)) - 1
+    ambient = prod(dims) - 1
     return min(r * (sum(d - 1 for d in dims) + 1) - 1, ambient)
 
 

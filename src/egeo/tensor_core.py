@@ -84,7 +84,7 @@ def make_state(dims, coeffs) -> PureState:
     if len(dims) < 1 or any(d < 2 for d in dims):
         raise ShapeMismatch(f"subsystem dimensions must all be >= 2, got {dims}")
     vec = np.asarray(coeffs, dtype=complex).reshape(-1)
-    n = int(np.prod(dims))
+    n = prod(dims)  # Python ints: a product past numpy's index range cannot wrap onto vec.size
     if vec.size != n:
         raise ShapeMismatch(f"got {vec.size} coefficients for dims {dims} (need {n})")
     if not np.isfinite(vec).all():

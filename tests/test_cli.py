@@ -318,6 +318,7 @@ MALFORMED_FILES = {
     "state-coeff-NaN": ("schmidt", {"dims": [2, 2], "coeffs": [[0, float("nan")], 0, 0, 1]}),
     "state-coeff-huge-integer": ("separability", {"dims": [2, 2], "coeffs": [10**400, 0, 0, 1]}),
     "state-not-json": ("separability", '{"dims": [2'),
+    "state-dims-product-past-int64": ("separability", {"dims": [4611686018427387905, 4], "coeffs": [1, 0, 0, 1]}),
     "cover-root-array": ("cech", [{"i": 0, "j": 1, "lift": LIFT}]),
     "cover-pairs-not-array": ("cech", {"n": 4, "pairs": 3}),
     "cover-pair-not-object": ("cech", {"n": 4, "pairs": [[0, 1, LIFT]]}),
@@ -380,6 +381,7 @@ ERROR_TEXT = {
     "spinchain-Infinity-delta": "delta must be finite",
     "spinchain-NaN-j": "j_coupling must be finite",
     "repro-negative-seed": "--seed must be >= 0, got -1",
+    "state-dims-product-past-int64": "got 4 coefficients for dims (4611686018427387905, 4) (need 18446744073709551620)",
 }
 
 
@@ -405,3 +407,20 @@ def test_malformed_input_exits_2_with_one_json_error_line(capsys, tmp_path, case
         assert error["error"].startswith(NAMED_FLAG[case] + " ")
     if case in ERROR_TEXT:
         assert ERROR_TEXT[case] in error["error"]
+
+
+def test_memory_error_exits_2_with_one_too_large_line(capsys, monkeypatch, bell_file):
+    from egeo import tensor_core
+
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array with shape (131072, 65536)")
+
+    monkeypatch.setattr(tensor_core, "schmidt_decompose", out_of_memory)
+    code = run(["schmidt", "--state", bell_file, "--cut", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["command"] == "schmidt"
+    assert error["error"].startswith("the input needs more memory than is available: Unable to allocate 64.0 GiB")

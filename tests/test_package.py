@@ -66,7 +66,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = exc.code
 print(code)
 """
-# argv -> (egeo modules it loads besides egeo, egeo.errors and egeo.cli; whether it loads numpy)
+# argv -> (egeo modules it loads besides egeo, egeo.errors and egeo.cli; whether it loads numpy).
+# Only `repro`, which draws its seeded batteries, may load numpy.random: `import numpy` does not.
 LOADED_BY = {
     ("schmidt", "--state", "STATE", "--cut", "0"): ("tensor_core", True),
     ("separability", "--state", "STATE"): ("separability tensor_core", True),
@@ -89,11 +90,12 @@ LOADED_BY = {
 @pytest.mark.parametrize("argv", list(LOADED_BY), ids=[argv[0] for argv in LOADED_BY])
 def test_each_subcommand_loads_only_its_modules(tmp_path, argv):
     state = str(tmp_path / "ghz.json")
-    code = RUN_ONE_CODE.replace("STATE", state)
+    code = RUN_ONE_CODE.replace("STATE", state) + "print('numpy.random' in sys.modules)"
     names, numpy = LOADED_BY[argv]
     modules = sorted(["egeo", "egeo.cli", "egeo.errors"] + [f"egeo.{name}" for name in names.split()])
-    exit_code, loaded = _loaded(code, *(state if a == "STATE" else a for a in argv)).split("\n", 1)
+    exit_code, random, loaded = _loaded(code, *(state if a == "STATE" else a for a in argv)).split("\n", 2)
     assert int(exit_code) in {"--version": (0,), "no-such-command": (2,)}.get(argv[0], (0, 1))
+    assert random == str(argv[0] == "repro")
     assert loaded.strip() == f"{modules} {numpy}"
 
 

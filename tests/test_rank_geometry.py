@@ -1,4 +1,5 @@
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from egeo import (
     Bipartition,
     IntegerPartition,
     OutOfRange,
+    PureState,
     WrongShape,
     ZeroState,
+    bipartitions,
     determinantal_degree,
     determinantal_dim,
     flatten,
@@ -25,7 +28,11 @@ from egeo import (
     w_family,
     w_state,
 )
+from egeo import rank_geometry
+from egeo.errors import DEFAULT_RANK_TOL
 from egeo.oracles import monomial_quotient_dim
+from egeo.separability import CERTIFY_MIN_TOL
+from egeo.tensor_core import unit_max_modulus
 
 RNG = np.random.default_rng(23)
 
@@ -50,6 +57,90 @@ def test_flattening_lower_bound_examples():
     assert flattening_lower_bound(w_state()) == 2
     assert flattening_lower_bound(random_product_222(RNG)) == 1
     assert flattening_lower_bound(ghz3()) == 2
+
+
+def svd_bound(state, tol):
+    """The reference: the largest SVD rank over every cut, as the bound was computed before cuts could be skipped."""
+    state = PureState(state.dims, unit_max_modulus(state.coeffs))
+    return max(numerical_rank(flatten(state, cut), tol) for cut in bipartitions(state.n_subsystems))
+
+
+def product_sum(rng, dims, r):
+    coeffs = np.zeros(prod(dims), dtype=complex)
+    for _ in range(r):
+        term = np.ones(1, dtype=complex)
+        for d in dims:
+            term = np.kron(term, rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        coeffs += term
+    return coeffs
+
+
+TOLS = (1e-12, 1e-11, 1e-9, 1e-6, 1e-3, 0.5)
+# f, the noise over tol: a log grid, and the boundaries 1/2, 1 and 2, each missed by 1e-3.
+NOISE_OVER_TOL = (*10 ** np.linspace(-1.5, 1.5, 7), *(a * (1 + e) for a in (0.5, 1, 2) for e in (-1e-3, 1e-3)))
+SCALES = (5e-314, 1e-300, 1.0, 1e300, 1.7e308)
+
+
+def test_flattening_lower_bound_is_the_max_svd_rank_near_every_boundary():
+    # A sum of 1-3 product terms plus noise of norm f tol ||sum||: a product term or a dense vector.
+    rng = np.random.default_rng(7)
+    for tol, f, scale in product(TOLS, NOISE_OVER_TOL, SCALES):
+        dims = tuple(int(d) for d in rng.choice([2, 2, 3], int(rng.integers(3, 7))))
+        coeffs = product_sum(rng, dims, int(rng.integers(1, 4)))
+        if rng.random() < 0.5:
+            noise = product_sum(rng, dims, 1)
+        else:
+            noise = rng.standard_normal(coeffs.size) + 1j * rng.standard_normal(coeffs.size)
+        coeffs += noise * (f * tol * np.linalg.norm(coeffs) / np.linalg.norm(noise))
+        state = make_state(dims, coeffs / np.abs(coeffs).max() * scale)
+        assert flattening_lower_bound(state, tol) == svd_bound(state, tol), (dims, tol, f, scale)
+
+
+def count_svds(monkeypatch):
+    calls = []
+
+    def counted(m, tol):
+        calls.append(m.shape)
+        return numerical_rank(m, tol)
+
+    monkeypatch.setattr(rank_geometry, "numerical_rank", counted)
+    return calls
+
+
+def test_a_generic_three_term_sum_takes_one_svd(monkeypatch):
+    state = make_state([2] * 10, product_sum(np.random.default_rng(3), [2] * 10, 3))
+    calls = count_svds(monkeypatch)
+    assert flattening_lower_bound(state) == 3
+    assert len(calls) == 1  # the first cut, 32 x 32; the certificate skips the 500 others with min(D_A, D_B) > 3
+
+
+def test_after_a_wasted_certificate_the_svd_decides_every_cut_left(monkeypatch):
+    # Dense noise of norm tol/2: no cut's rank rises past 3, but the residual's Frobenius norm
+    # exceeds what the certificate allows, so it fails on the first cut it tries.
+    rng = np.random.default_rng(3)
+    coeffs = product_sum(rng, [2] * 10, 3)
+    noise = rng.standard_normal(coeffs.size) + 1j * rng.standard_normal(coeffs.size)
+    state = make_state([2] * 10, coeffs + noise * (0.5e-9 * np.linalg.norm(coeffs) / np.linalg.norm(noise)))
+    certify, certificates = rank_geometry._rank_at_most, []
+
+    def recorded(*args):
+        certificates.append(certify(*args))
+        return certificates[-1]
+
+    monkeypatch.setattr(rank_geometry, "_rank_at_most", recorded)
+    calls = count_svds(monkeypatch)
+    assert flattening_lower_bound(state) == 3
+    assert certificates == [False]
+    assert len(calls) == 501
+    assert svd_bound(state, DEFAULT_RANK_TOL) == 3
+
+
+def test_below_the_certificate_floor_every_cut_that_could_raise_the_bound_takes_its_svd(monkeypatch):
+    tol = CERTIFY_MIN_TOL / 10
+    state = make_state([2] * 10, product_sum(np.random.default_rng(3), [2] * 10, 3))
+    calls = count_svds(monkeypatch)
+    assert flattening_lower_bound(state, tol) == 3
+    assert len(calls) == sum(1 for cut in bipartitions(10) if min(len(cut.block_a), len(cut.block_b)) >= 2) == 501
 
 
 # ------------------------------------------------------------- exact rank
