@@ -64,7 +64,7 @@ def _leading_factors(state: PureState):
     def factor(block: tuple[int, ...]) -> np.ndarray:
         if block not in factors:
             cut = Bipartition(n, block)
-            u, _, vh = np.linalg.svd(flatten(state, cut))
+            u, _, vh = np.linalg.svd(flatten(state, cut), full_matrices=False)
             factors[cut.block_a], factors[cut.block_b] = u[:, 0], vh[0, :]
         return factors[block]
 

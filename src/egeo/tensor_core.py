@@ -224,7 +224,7 @@ def schmidt_decompose(state: PureState, cut: Bipartition, tol: float = DEFAULT_R
     """
     norm = state.norm()
     m = flatten(state.normalized(), cut)
-    u, s, vh = np.linalg.svd(m)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
     k = _rank_of(s, tol)
     cols = []
     for a in range(k):
@@ -290,7 +290,7 @@ def incidence_lift(state: PureState, cut: Bipartition, tol: float = DEFAULT_RANK
     block form with only the leading k x k block nonzero.
     """
     m = flatten(state, cut)
-    u, s, vh = np.linalg.svd(m)
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
     k = max(_rank_of(s, tol), 1)
     ua = u[:, :k]
     ub = vh[:k, :].T

@@ -28,7 +28,7 @@ from egeo import (
     w_family,
     w_state,
 )
-from egeo import rank_geometry
+from egeo import rank_geometry, separability
 from egeo.errors import DEFAULT_RANK_TOL
 from egeo.oracles import monomial_quotient_dim
 from egeo.separability import CERTIFY_MIN_TOL
@@ -114,6 +114,18 @@ def test_a_generic_three_term_sum_takes_one_svd(monkeypatch):
     assert len(calls) == 1  # the first cut, 32 x 32; the certificate skips the 500 others with min(D_A, D_B) > 3
 
 
+def record_certificates(monkeypatch):
+    """The stacks `_ranks_at_most` is given, each with the verdicts it returns."""
+    certify, batches = rank_geometry._ranks_at_most, []
+
+    def recorded(stack, omega, tol):
+        batches.append((stack.copy(), omega.shape, certify(stack, omega, tol)))
+        return batches[-1][2]
+
+    monkeypatch.setattr(rank_geometry, "_ranks_at_most", recorded)
+    return batches
+
+
 def test_after_a_wasted_certificate_the_svd_decides_every_cut_left(monkeypatch):
     # Dense noise of norm tol/2: no cut's rank rises past 3, but the residual's Frobenius norm
     # exceeds what the certificate allows, so it fails on the first cut it tries.
@@ -121,18 +133,113 @@ def test_after_a_wasted_certificate_the_svd_decides_every_cut_left(monkeypatch):
     coeffs = product_sum(rng, [2] * 10, 3)
     noise = rng.standard_normal(coeffs.size) + 1j * rng.standard_normal(coeffs.size)
     state = make_state([2] * 10, coeffs + noise * (0.5e-9 * np.linalg.norm(coeffs) / np.linalg.norm(noise)))
-    certify, certificates = rank_geometry._rank_at_most, []
-
-    def recorded(*args):
-        certificates.append(certify(*args))
-        return certificates[-1]
-
-    monkeypatch.setattr(rank_geometry, "_rank_at_most", recorded)
+    batches = record_certificates(monkeypatch)
     calls = count_svds(monkeypatch)
     assert flattening_lower_bound(state) == 3
-    assert certificates == [False]
+    assert len(batches) == 1 and not batches[0][2][0]  # the first verdict is False, and no other is read
     assert len(calls) == 501
     assert svd_bound(state, DEFAULT_RANK_TOL) == 3
+
+
+def test_verdicts_after_a_failed_certificate_are_not_read(monkeypatch):
+    # The first verdict of the first stack is made False: every cut after it, in that stack too,
+    # then takes the SVD although its own certificate holds.
+    state = make_state([2] * 10, product_sum(np.random.default_rng(3), [2] * 10, 3))
+    certify = rank_geometry._ranks_at_most
+
+    def first_fails(stack, omega, tol):
+        verdicts = certify(stack, omega, tol)
+        assert verdicts.all()
+        verdicts[0] = False
+        return verdicts
+
+    monkeypatch.setattr(rank_geometry, "_ranks_at_most", first_fails)
+    calls = count_svds(monkeypatch)
+    assert flattening_lower_bound(state) == 3
+    assert len(calls) == 501
+
+
+def test_certificates_run_over_runs_of_same_shape_cuts_in_visit_order(monkeypatch):
+    # A generic 3-term sum: the first cut's SVD sets k = 3 and the certificate settles the 500
+    # cuts left with min(D_A, D_B) > 3. They are 32 x 32, 16 x 64, 8 x 128 and 4 x 256, so
+    # BATCH_ENTRIES // 1024 = 32 fit in a stack.
+    state = make_state([2] * 10, product_sum(np.random.default_rng(3), [2] * 10, 3))
+    batches = record_certificates(monkeypatch)
+    assert flattening_lower_bound(state) == 3
+    scaled = PureState(state.dims, unit_max_modulus(state.coeffs))
+    cuts = sorted(bipartitions(10), key=lambda cut: min(2 ** len(cut.block_a), 2 ** len(cut.block_b)), reverse=True)
+    visited = iter(cuts[1:])
+    for stack, omega_shape, verdicts in batches:
+        c, rows, cols = stack.shape
+        assert c * rows * cols <= rank_geometry.BATCH_ENTRIES and rows <= cols
+        assert omega_shape[0] >= cols and omega_shape[1] == 3 and verdicts.all()
+        for m in stack:  # the next cut in visit order, as a wide matrix
+            flat = flatten(scaled, next(visited))
+            assert np.array_equal(m, flat if flat.shape == (rows, cols) else flat.T)
+    assert [(len(b[0]), b[0].shape[1]) for b in batches] == [
+        *[(32, 32)] * 3, (29, 32), *[(32, 16)] * 6, (18, 16), *[(32, 8)] * 3, (24, 8), (32, 4), (13, 4)
+    ]
+
+
+def test_no_bipartition_is_built_for_a_dense_16_qubit_state(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("flattening_lower_bound built a Bipartition")
+
+    for where in (separability, rank_geometry):
+        monkeypatch.setattr(where, "bipartitions", refuse)
+    monkeypatch.setattr(Bipartition, "__post_init__", refuse)
+    rng = np.random.default_rng(16)
+    state = make_state([2] * 16, rng.standard_normal(2**16) + 1j * rng.standard_normal(2**16))
+    calls = count_svds(monkeypatch)
+    assert flattening_lower_bound(state) == 256
+    assert calls == [(256, 256)]
+
+
+BELL_PAIRS_8 = np.kron(np.kron([1, 0, 0, 1], [1, 0, 0, 1]), np.kron([1, 0, 0, 1], [1, 0, 0, 1])).astype(complex)
+
+
+@pytest.mark.parametrize("f", [0, 0.3, 0.5, 1, 2])
+def test_a_bound_that_rises_mid_scan_is_the_max_svd_rank(monkeypatch, f):
+    # Bell pairs on (0,1), (2,3), (4,5) and (6,7), plus dense noise of norm f tol: the first 4|4
+    # cut visited, {0,1,2,3}, has rank 1 and the cut {0,2,4,6} rank 16.
+    tol = DEFAULT_RANK_TOL
+    rng = np.random.default_rng(8)
+    noise = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+    state = make_state([2] * 8, BELL_PAIRS_8 + noise * (f * tol * np.linalg.norm(BELL_PAIRS_8) / np.linalg.norm(noise)))
+    calls = count_svds(monkeypatch)
+    assert flattening_lower_bound(state, tol) == svd_bound(state, tol) == 16
+    assert len(calls) > 2  # the bound rose after the first cut and was not settled by it
+
+
+# Qubits and qutrits: min(D_A, D_B) runs through 27, 24, 18, 16, 12, 9, 8, 6, 4 and 3, so the
+# stacks change shape at each value and the sketch is sliced to each long side.
+MIXED_DIMS = (2, 3, 2, 2, 3, 2, 2, 3)
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+@pytest.mark.parametrize("f", [0, 0.3, 0.5, 1, 2])
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_qubit_qutrit_bounds_are_the_max_svd_rank(monkeypatch, r, f, tol):
+    rng = np.random.default_rng(100 * r + int(10 * f))
+    coeffs = product_sum(rng, MIXED_DIMS, r)
+    noise = rng.standard_normal(coeffs.size) + 1j * rng.standard_normal(coeffs.size)
+    state = make_state(MIXED_DIMS, coeffs + noise * (f * tol * np.linalg.norm(coeffs) / np.linalg.norm(noise)))
+    batches = record_certificates(monkeypatch)
+    bound = svd_bound(state, tol)
+    assert flattening_lower_bound(state, tol) == bound >= r  # noise at 2 tol can lift a cut past r
+    if f == 0:  # one stack per shape, each wide, with the sketch cut to its long side
+        assert [b[0].shape[1] for b in batches] == [d for d in (24, 18, 16, 12, 9, 8, 6, 4, 3) if d > r]
+        assert all(b[0].shape[1] <= b[0].shape[2] <= b[1][0] and b[1][1] == r for b in batches)
+
+
+def test_a_qubit_qutrit_bound_that_rises_twice_is_the_max_svd_rank(monkeypatch):
+    # Maximally entangled pairs on (0,2), (1,4), (3,5) and a rank-2 qubit-qutrit pair on (6,7):
+    # the first cut (32 x 27) has rank 2, a 24 x 36 cut then rank 6, and {0,1,3,6} rank 2*3*2*2 = 24.
+    t = np.einsum("ac,be,df,gh->abcdefgh", np.eye(2), np.eye(3), np.eye(2), np.eye(2, 3))
+    state = make_state(MIXED_DIMS, t.reshape(-1))
+    calls = count_svds(monkeypatch)
+    assert flattening_lower_bound(state) == svd_bound(state, DEFAULT_RANK_TOL) == 24
+    assert calls == [(32, 27), (24, 36), (24, 36)]
 
 
 def test_below_the_certificate_floor_every_cut_that_could_raise_the_bound_takes_its_svd(monkeypatch):
