@@ -20,7 +20,7 @@ import numpy as np
 
 from .cech_brauer import CechCover, Cocycle2, _coboundary_matrix
 from .modular import smith_normal_form
-from .separability import Partition
+from .separability import Partition, _labelled, _meet_labels
 from .tensor_core import Bipartition, PureState, _frozen, flatten, make_state
 
 
@@ -108,16 +108,14 @@ def brute_force_finest(state: PureState, tol: float = 1e-8) -> Partition:
     n = state.n_subsystems
     reference = state.normalized().coeffs
     factor = _leading_factors(state)
-    label, count = [0] * n, 1
+    labels, count = [0] * n, 1
     for blocks in set_partitions(n):
-        if sum(len({label[i] for i in b}) for b in blocks) == count:
+        if sum(len({labels[i] for i in b}) for b in blocks) == count:
             continue  # no label is split across blocks: the running meet refines this partition
         if _reconstructs(reference, state.dims, blocks, factor, tol):
-            block_of = {i: k for k, b in enumerate(blocks) for i in b}
-            keys: dict[tuple[int, int], int] = {}
-            label = [keys.setdefault((label[i], block_of[i]), len(keys)) for i in range(n)]
-            count = len(keys)
-    return Partition(n, tuple(tuple(i for i in range(n) if label[i] == c) for c in range(count)))
+            labels = _meet_labels(labels, (sum(1 << i for i in b) for b in blocks))
+            count = max(labels) + 1
+    return _labelled(labels)
 
 
 def monomial_quotient_dim(t: int) -> int:

@@ -1,10 +1,12 @@
-"""The brute-force oracles against verbatim copies of their unshared forms.
+"""The brute-force oracles and the partition lattice against verbatim copies of their unshared forms.
 
 `brute_force_finest` skips partitions that its running meet already
 refines, and `d_product_oracle` computes each predicted grid value and its
-distances once per spectrum. Neither may change a verdict or a witness:
-the references below are the oracles as they were before that sharing,
-and every comparison is exact equality.
+distances once per spectrum. `meet` and `refines` fold block masks into
+one label per subsystem. None may change a verdict or a witness: the
+references below are the code as it was before that sharing, with the
+set-intersection lattice operations, and every comparison is exact
+equality.
 """
 
 import cmath
@@ -12,13 +14,44 @@ from itertools import combinations, permutations
 from math import prod
 
 import numpy as np
+import pytest
 
-from egeo import LocalSpectra, Partition, SpectralClass, d_product_oracle, make_state, meet, tensor_spectrum
+from egeo import (
+    LocalSpectra,
+    Partition,
+    ShapeMismatch,
+    SpectralClass,
+    d_product_oracle,
+    make_state,
+    meet,
+    refines,
+    tensor_spectrum,
+)
 from egeo import oracles, spectral_satake
 from egeo.oracles import _leading_factors, brute_force_finest, random_block_product, set_partitions
+from egeo.separability import _labelled, _meet_labels
 from egeo.spectral_satake import SPECTRAL_TOL, _bipartite_splits
 
 # ------------------------------------------------------------- references
+
+
+def reference_refines(p, q):
+    if p.n_subsystems != q.n_subsystems:
+        raise ShapeMismatch("partitions are over different subsystem counts")
+    qsets = [set(b) for b in q.blocks]
+    return all(any(set(b) <= qs for qs in qsets) for b in p.blocks)
+
+
+def reference_meet(p, q):
+    if p.n_subsystems != q.n_subsystems:
+        raise ShapeMismatch("partitions are over different subsystem counts")
+    blocks = []
+    for b in p.blocks:
+        for c in q.blocks:
+            both = tuple(sorted(set(b) & set(c)))
+            if both:
+                blocks.append(both)
+    return Partition(p.n_subsystems, tuple(blocks))
 
 
 def reference_reconstructs(reference, dims, partition, factor, tol):
@@ -42,7 +75,7 @@ def reference_brute_force_finest(state, tol=1e-8):
     for blocks in set_partitions(n):
         p = Partition(n, tuple(tuple(b) for b in blocks))
         if reference_reconstructs(reference, state.dims, p, factor, tol):
-            finest = meet(finest, p)
+            finest = reference_meet(finest, p)
     return finest
 
 
@@ -176,6 +209,30 @@ def test_d_product_oracle_computes_each_predicted_value_once_per_spectrum(monkey
     assert list(_bipartite_splits(s.eigenvalues, 2, 4, SPECTRAL_TOL)) == []
     # 7 * 6 ordered (column, row) pairs, each with 8 distances and one bound
     assert len(calls) <= 7 * 6 * (8 + 1)
+
+
+# ------------------------------------------------------------- meet and refines
+
+
+def test_label_meet_matches_the_set_intersection_reference_on_every_pair():
+    # The fold from p's own labels is brute_force_finest's running meet.
+    for n in range(1, 7):
+        parts = [Partition(n, tuple(tuple(b) for b in blocks)) for blocks in set_partitions(n)]
+        masks = {p: [sum(1 << i for i in b) for b in p.blocks] for p in parts}
+        for p in parts:
+            labels = _meet_labels([0] * n, masks[p])
+            for q in parts:
+                expected = reference_meet(p, q)
+                assert meet(p, q) == expected
+                assert _labelled(_meet_labels(labels, masks[q])) == expected
+                assert refines(p, q) == reference_refines(p, q)
+
+
+def test_lattice_operations_reject_mismatched_subsystem_counts():
+    p, q = Partition.discrete(2), Partition.trivial(3)
+    for op in (meet, refines):
+        with pytest.raises(ShapeMismatch):
+            op(p, q)
 
 
 # ------------------------------------------------------------- brute_force_finest

@@ -160,3 +160,28 @@ def test_clear_verdicts_need_no_svd(monkeypatch):
     assert separability_report(generic).gme
     assert len(separability_report(planted).product_bipartitions) == 2**3 - 1
     assert calls == []
+
+
+def test_a_rejected_cut_pays_for_no_accept_test(monkeypatch):
+    # The reject bound is tested first; the accept test's three vdots would
+    # run on each of the 127 cuts if the order were swapped back.
+    calls = []
+    real = np.vdot
+    monkeypatch.setattr(np, "vdot", lambda *a: calls.append(a) or real(*a))
+    rng = np.random.default_rng(5)
+    generic = make_state((2,) * 8, rng.standard_normal(256) + 1j * rng.standard_normal(256))
+    assert separability_report(generic, 1e-9).gme
+    assert calls == []
+
+
+def test_product_cuts_fold_into_one_partition(monkeypatch):
+    # A fully product 9-qubit state has 255 product cuts; folding them with
+    # meet would build a Partition per cut and per meet.
+    built = []
+    real = Partition.__post_init__
+    monkeypatch.setattr(Partition, "__post_init__", lambda self: built.append(self) or real(self))
+    state = random_block_product(np.random.default_rng(6), (2,) * 9, [(i,) for i in range(9)])
+    report = separability_report(state)
+    assert len(report.product_bipartitions) == 255
+    assert len(built) == 1
+    assert report.finest == Partition.discrete(9)

@@ -130,7 +130,7 @@ def test_is_pi_product_examples():
     assert is_pi_product(st, P.trivial(4))
     w = make_state([2, 2, 2], [0, 1, 1, 0, 1, 0, 0, 0])
     for cut in bipartitions(3):
-        assert not is_pi_product(w, P.from_bipartition(cut))
+        assert not is_pi_product(w, P(3, (cut.block_a, cut.block_b)))
 
 
 def test_finest_product_partition_examples():
@@ -168,13 +168,13 @@ def test_three_party_two_cuts_implies_fully_product():
     rng = np.random.default_rng(31)
     for _ in range(10):
         st = random_block_product(rng, (2, 3, 2), [(0,), (1,), (2,)])
-        product_cuts = [c for c in bipartitions(3) if is_pi_product(st, P.from_bipartition(c))]
+        product_cuts = [c for c in bipartitions(3) if is_pi_product(st, P(3, (c.block_a, c.block_b)))]
         assert len(product_cuts) == 3
         assert finest_product_partition(st) == P.discrete(3)
     # if any state is product along two distinct cuts, the meet forces full product
     for _ in range(10):
         st = random_block_product(rng, (2, 2, 2), [(0,), (1, 2)])
-        cuts = [c for c in bipartitions(3) if is_pi_product(st, P.from_bipartition(c))]
+        cuts = [c for c in bipartitions(3) if is_pi_product(st, P(3, (c.block_a, c.block_b)))]
         assert len(cuts) == 1  # entangled pair blocks exactly one cut
 
 
