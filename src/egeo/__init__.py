@@ -50,27 +50,27 @@ _LAZY = {
         "SeparabilityReport",
         "bipartitions",
         "finest_product_partition",
+        "flattening_lower_bound",
         "is_gme",
         "is_pi_product",
         "meet",
+        "rank_2x2x2",
         "refines",
         "separability_report",
+        "w_family",
+        "w_state",
     ),
     "rank_geometry": (
         "IntegerPartition",
         "VarietyInvariants",
         "determinantal_degree",
         "determinantal_dim",
-        "flattening_lower_bound",
         "hilbert_function",
         "hilbert_poly_fit",
-        "rank_2x2x2",
         "schur_dim",
         "secant_expected_dim",
         "segre_degree",
         "variety_invariants",
-        "w_family",
-        "w_state",
     ),
     "gluing_sim": (
         "SpinChainParams",

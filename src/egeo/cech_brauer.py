@@ -65,6 +65,8 @@ def make_cover(n: int, pairs_with_lifts, triples=(), quadruples=(), m: int | Non
     transitions = {}
     pairs = []
     for i, j, lift in pairs_with_lifts:
+        if i == j or (i, j) in transitions:
+            raise BadNerve(f"pair ({i}, {j}) joins a chart to itself" if i == j else f"pair ({i}, {j}) is listed twice")
         lift = np.asarray(lift, dtype=complex)
         if lift.shape != (n, n):
             raise ShapeMismatch(f"lift for pair ({i}, {j}) has shape {lift.shape}, expected ({n}, {n})")

@@ -202,7 +202,7 @@ def cmd_invariants(args) -> tuple[dict, dict, int]:
 
 
 def cmd_rank222(args) -> tuple[dict, dict, int]:
-    from .rank_geometry import flattening_lower_bound, rank_2x2x2
+    from .separability import flattening_lower_bound, rank_2x2x2
 
     state = load_state(args.state)
     outputs = {

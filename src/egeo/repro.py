@@ -38,18 +38,8 @@ from .gluing_sim import (
     weyl_ops,
 )
 from .oracles import brute_force_finest, monomial_quotient_dim, random_block_product
-from .rank_geometry import (
-    determinantal_degree,
-    determinantal_dim,
-    flattening_lower_bound,
-    hilbert_function,
-    hilbert_poly_fit,
-    rank_2x2x2,
-    segre_degree,
-    w_family,
-    w_state,
-)
-from .separability import finest_product_partition
+from .rank_geometry import determinantal_degree, determinantal_dim, hilbert_function, hilbert_poly_fit, segre_degree
+from .separability import finest_product_partition, flattening_lower_bound, rank_2x2x2, w_family, w_state
 from .spectral_satake import (
     LocalSpectra,
     SpectralClass,

@@ -348,6 +348,8 @@ MALFORMED_FILES = {
     "cover-index-beyond-charts": ("cech", {"n": 4, "charts": 1, "pairs": [{"i": 0, "j": 1, "lift": LIFT}]}),
     "cover-lift-NaN": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 1, "lift": [[float("nan")] * 4] + LIFT[1:]}]}),
     "cover-lift-Infinity": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 1, "lift": [[float("inf")] * 4] + LIFT[1:]}]}),
+    "cover-pair-listed-twice": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 1, "lift": LIFT}, {"i": 0, "j": 1, "lift": LIFT}]}),
+    "cover-self-pair": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 0, "lift": LIFT}]}),
 }
 MALFORMED_ARGV = {
     "invariants-negative-tmax": ["invariants", "--da", "2", "--db", "2", "--tmax", "-1"],
@@ -399,6 +401,8 @@ ERROR_TEXT = {
     "spinchain-NaN-j": "j_coupling must be finite",
     "repro-negative-seed": "--seed must be >= 0, got -1",
     "state-dims-product-past-int64": "got 4 coefficients for dims (4611686018427387905, 4) (need 18446744073709551620)",
+    "cover-pair-listed-twice": "pair (0, 1) is listed twice",
+    "cover-self-pair": "pair (0, 0) joins a chart to itself",
 }
 
 

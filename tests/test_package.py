@@ -35,9 +35,9 @@ def test_star_import_binds_every_exported_name():
 
 
 def test_lazy_names_are_the_submodules_objects():
-    from egeo import rank_geometry, splitting_p1
+    from egeo import separability, splitting_p1
 
-    assert egeo.flattening_lower_bound is rank_geometry.flattening_lower_bound
+    assert egeo.flattening_lower_bound is separability.flattening_lower_bound
     assert egeo.factor_sumset is splitting_p1.factor_sumset
     assert set(EXPORTED) <= set(dir(egeo))
 
@@ -71,8 +71,8 @@ print(code)
 LOADED_BY = {
     ("schmidt", "--state", "STATE", "--cut", "0"): ("tensor_core", True),
     ("separability", "--state", "STATE"): ("separability tensor_core", True),
-    ("invariants", "--da", "2", "--db", "2"): ("rank_geometry separability tensor_core", True),
-    ("rank222", "--state", "STATE"): ("rank_geometry separability tensor_core", True),
+    ("invariants", "--da", "2", "--db", "2"): ("rank_geometry", False),
+    ("rank222", "--state", "STATE"): ("separability tensor_core", True),
     ("holonomy", "--p", "2", "--loop", "uv"): ("gluing_sim tensor_core", True),
     ("spinchain",): ("gluing_sim tensor_core", True),
     ("cech", "--p", "2"): ("cech_brauer gluing_sim modular tensor_core", True),
@@ -129,3 +129,19 @@ def test_only_the_repro_subcommand_loads_the_battery_and_its_oracles():
                 assert (name, function) == ("cli", "cmd_repro"), f"{name}.py imports repro in {function}"
                 found.add((name, "repro"))
     assert found == {("repro", "oracles"), ("cli", "repro")}
+
+
+def test_rank_geometry_is_exact_numerology_that_loads_no_numpy():
+    src = Path(egeo.__file__).parent
+    for node in ast.walk(ast.parse((src / "rank_geometry.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            roots = [f"egeo.{node.module}" if node.level else node.module.split(".")[0]]
+        else:
+            continue
+        assert all(r in sys.stdlib_module_names or r == "egeo.errors" for r in roots), ast.unparse(node)
+    importers = set()
+    for path in src.glob("*.py"):
+        importers |= {(path.stem, f) for names, f in _imports(ast.parse(path.read_text(encoding="utf-8"))) if "rank_geometry" in names}
+    assert importers == {("cli", "cmd_invariants"), ("repro", None)}

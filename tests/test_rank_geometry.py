@@ -28,7 +28,7 @@ from egeo import (
     w_family,
     w_state,
 )
-from egeo import rank_geometry, separability
+from egeo import separability
 from egeo.errors import DEFAULT_RANK_TOL
 from egeo.oracles import monomial_quotient_dim
 from egeo.separability import CERTIFY_MIN_TOL
@@ -103,7 +103,7 @@ def count_svds(monkeypatch):
         calls.append(m.shape)
         return numerical_rank(m, tol)
 
-    monkeypatch.setattr(rank_geometry, "numerical_rank", counted)
+    monkeypatch.setattr(separability, "numerical_rank", counted)
     return calls
 
 
@@ -116,13 +116,13 @@ def test_a_generic_three_term_sum_takes_one_svd(monkeypatch):
 
 def record_certificates(monkeypatch):
     """The stacks `_ranks_at_most` is given, each with the verdicts it returns."""
-    certify, batches = rank_geometry._ranks_at_most, []
+    certify, batches = separability._ranks_at_most, []
 
     def recorded(stack, omega, tol):
         batches.append((stack.copy(), omega.shape, certify(stack, omega, tol)))
         return batches[-1][2]
 
-    monkeypatch.setattr(rank_geometry, "_ranks_at_most", recorded)
+    monkeypatch.setattr(separability, "_ranks_at_most", recorded)
     return batches
 
 
@@ -145,7 +145,7 @@ def test_verdicts_after_a_failed_certificate_are_not_read(monkeypatch):
     # The first verdict of the first stack is made False: every cut after it, in that stack too,
     # then takes the SVD although its own certificate holds.
     state = make_state([2] * 10, product_sum(np.random.default_rng(3), [2] * 10, 3))
-    certify = rank_geometry._ranks_at_most
+    certify = separability._ranks_at_most
 
     def first_fails(stack, omega, tol):
         verdicts = certify(stack, omega, tol)
@@ -153,7 +153,7 @@ def test_verdicts_after_a_failed_certificate_are_not_read(monkeypatch):
         verdicts[0] = False
         return verdicts
 
-    monkeypatch.setattr(rank_geometry, "_ranks_at_most", first_fails)
+    monkeypatch.setattr(separability, "_ranks_at_most", first_fails)
     calls = count_svds(monkeypatch)
     assert flattening_lower_bound(state) == 3
     assert len(calls) == 501
@@ -171,7 +171,7 @@ def test_certificates_run_over_runs_of_same_shape_cuts_in_visit_order(monkeypatc
     visited = iter(cuts[1:])
     for stack, omega_shape, verdicts in batches:
         c, rows, cols = stack.shape
-        assert c * rows * cols <= rank_geometry.BATCH_ENTRIES and rows <= cols
+        assert c * rows * cols <= separability.BATCH_ENTRIES and rows <= cols
         assert omega_shape[0] >= cols and omega_shape[1] == 3 and verdicts.all()
         for m in stack:  # the next cut in visit order, as a wide matrix
             flat = flatten(scaled, next(visited))
@@ -185,8 +185,7 @@ def test_no_bipartition_is_built_for_a_dense_16_qubit_state(monkeypatch):
     def refuse(*args):
         raise AssertionError("flattening_lower_bound built a Bipartition")
 
-    for where in (separability, rank_geometry):
-        monkeypatch.setattr(where, "bipartitions", refuse)
+    monkeypatch.setattr(separability, "bipartitions", refuse)
     monkeypatch.setattr(Bipartition, "__post_init__", refuse)
     rng = np.random.default_rng(16)
     state = make_state([2] * 16, rng.standard_normal(2**16) + 1j * rng.standard_normal(2**16))

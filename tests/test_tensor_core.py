@@ -21,7 +21,7 @@ from egeo import (
     schmidt_decompose,
     sector_decompose,
 )
-from egeo.rank_geometry import w_state
+from egeo.separability import w_state
 from egeo.tensor_core import reassemble_lift
 
 RNG = np.random.default_rng(11)
