@@ -228,10 +228,7 @@ def torsion_bound(dims) -> int:
     dims = [int(d) for d in dims]
     if any(d < 2 for d in dims):
         raise OutOfRange(f"subsystem dimensions must be >= 2, got {dims}")
-    out = 1
-    for d in dims:
-        out = lcm(out, d)
-    return out
+    return lcm(*dims)
 
 
 def check_reduction(cover: CechCover, d_a: int, d_b: int, tol: float = DEFAULT_RANK_TOL) -> ReductionReport:

@@ -5,7 +5,8 @@ complex numbers are [re, im] pairs, angles are radians. Commands put
 arrays, complex numbers and tuples into a report as they are; one JSON
 hook, `_plain`, encodes them. Exit codes:
 0 success, 1 negative domain verdict (not product / not reducible /
-not local / irreducible) with a full report, 2 input or usage error.
+not local / irreducible) with a full report, 2 input or usage error,
+141 stdout closed by its reader before the report was written.
 Reports are deterministic for fixed inputs and seed; the repro table's
 wall-clock details go to stderr so stdout stays byte-reproducible.
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from math import isqrt
 from typing import TYPE_CHECKING
@@ -483,7 +485,16 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early: neither a negative verdict (1) nor an input error (2). Exit 141,
+        # the shell's status for a process killed by SIGPIPE, with stdout on devnull so that the
+        # interpreter's own flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -113,14 +113,6 @@ def commutator_scalar(g: np.ndarray, h: np.ndarray) -> complex:
     return scalar / abs(scalar)
 
 
-def _swap_operator(d: int) -> np.ndarray:
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, j * d + i] = 1.0
-    return s
-
-
 def _realignment_rank_one(g: np.ndarray, d_a: int, d_b: int, tol: float) -> bool:
     r = g.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
     return numerical_rank(r, tol) == 1
@@ -139,7 +131,8 @@ def is_local_operator(g: np.ndarray, d_a: int, d_b: int, tol: float = DEFAULT_RA
     if _realignment_rank_one(ga, d_a, d_b, tol):
         return True
     if d_a == d_b:
-        return _realignment_rank_one(ga @ _swap_operator(d_a), d_a, d_b, tol)
+        # composing with the factor swap exchanges the two column indices
+        return _realignment_rank_one(ga.reshape(d_a * d_a, d_a, d_a).transpose(0, 2, 1), d_a, d_b, tol)
     return False
 
 
@@ -223,6 +216,11 @@ def ground_state(params: SpinChainParams) -> PureState:
     h = spin_hamiltonian(params)
     vals, vecs = np.linalg.eigh(h)
     gs = vecs[:, int(np.argmin(vals))]
+    if gs[1] == 0:  # eigh scales h down when delta passes about 1e146, and a tiny J then underflows to 0
+        raise OutOfRange(
+            f"J = {params.j_coupling} (--j) is too small against delta = {params.delta} (--delta): "
+            "the eigensolver flushes the hopping block to zero"
+        )
     phase = gs[1] / abs(gs[1])
     return make_state([4], gs * np.conj(phase))
 

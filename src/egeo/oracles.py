@@ -24,20 +24,20 @@ from .separability import Partition, _labelled, _meet_labels
 from .tensor_core import Bipartition, PureState, _frozen, flatten, make_state
 
 
-def random_block_product(rng, dims, blocks) -> PureState:
-    """State that factors exactly along the given blocks, generic inside each."""
-    n = len(dims)
-    factors = []
-    for block in blocks:
-        size = int(prod(dims[i] for i in block))
-        factors.append(rng.standard_normal(size) + 1j * rng.standard_normal(size))
+def _block_product(dims, blocks, factors) -> np.ndarray:
+    """Flat product of one vector per block, with the subsystems put back in index order."""
     vec = factors[0]
     for f in factors[1:]:
-        vec = np.kron(vec, f)
+        vec = np.multiply.outer(vec, f).ravel()
     order = [i for block in blocks for i in block]
-    inverse = np.argsort(order)
-    shaped = vec.reshape([dims[i] for i in order]).transpose(inverse)
-    return make_state(dims, shaped.ravel())
+    return vec.reshape([dims[i] for i in order]).transpose(np.argsort(order)).ravel()
+
+
+def random_block_product(rng, dims, blocks) -> PureState:
+    """State that factors exactly along the given blocks, generic inside each."""
+    sizes = [int(prod(dims[i] for i in block)) for block in blocks]
+    factors = [rng.standard_normal(k) + 1j * rng.standard_normal(k) for k in sizes]
+    return make_state(dims, _block_product(dims, blocks, factors))
 
 
 def set_partitions(n: int):
@@ -78,11 +78,7 @@ def _reconstructs(reference: np.ndarray, dims, blocks, factor, tol: float) -> bo
     """
     if len(blocks) == 1:
         return True
-    vec = factor(tuple(blocks[0]))
-    for block in blocks[1:]:
-        vec = np.multiply.outer(vec, factor(tuple(block))).ravel()
-    order = [i for block in blocks for i in block]
-    candidate = vec.reshape([dims[i] for i in order]).transpose(np.argsort(order)).ravel()
+    candidate = _block_product(dims, blocks, [factor(tuple(block)) for block in blocks])
     candidate /= np.linalg.norm(candidate)
     return bool(abs(np.vdot(reference, candidate)) >= 1.0 - tol)
 

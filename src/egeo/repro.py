@@ -82,11 +82,6 @@ class CheckResult:
 # ---------------------------------------------------------------- helpers
 
 
-def _random_state(rng, dims) -> PureState:
-    n = int(prod(dims))
-    return make_state(dims, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-
-
 def _bell() -> PureState:
     return make_state([2, 2], np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -370,7 +365,7 @@ def check_incidence(rng) -> tuple[bool, str]:
     for trial in range(50):
         n = int(rng.integers(2, 5))
         dims = tuple(int(d) for d in rng.integers(2, 4, n))
-        state = _random_state(rng, dims)
+        state = random_block_product(rng, dims, [tuple(range(n))])
         block = (0,) + tuple(i for i in range(1, n) if rng.random() < 0.4)
         cut = Bipartition(n, block[: n - 1])
         lift = incidence_lift(state, cut)

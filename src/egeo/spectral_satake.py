@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 from .errors import NonFinite, OutOfRange, TooLarge, WrongSize, ZeroState
@@ -78,18 +78,23 @@ def tensor_spectrum(locals_: LocalSpectra) -> SpectralClass:
     return SpectralClass(tuple(values))
 
 
-def _match_multiset(candidates, targets, tol: float) -> bool:
-    pool = list(targets)
-    for c in candidates:
-        best, best_err = None, None
-        for k, z in enumerate(pool):
-            err = abs(c - z)
-            if best_err is None or err < best_err:
-                best, best_err = k, err
-        if best is None or best_err > tol * (1.0 + abs(c)):
+def _match_entry(c: complex, zs, tol: float) -> tuple[list[float], float]:
+    """Distances from c to every eigenvalue, and the farthest a match may lie: matching may be looser than the verdict."""
+    return [abs(c - z) for z in zs], max(tol, 1e-7) * (1.0 + abs(c))
+
+
+def _greedy_match(entries, pool: list[int]) -> bool:
+    """Each (distances, bound) entry in turn takes its nearest unused eigenvalue index from pool.
+
+    The first of equally near indices wins. The match fails at the first
+    entry whose nearest index lies beyond its bound. Consumes pool.
+    """
+    for dist, bound in entries:
+        best = min(pool, key=dist.__getitem__)
+        if dist[best] > bound:
             return False
-        pool.pop(best)
-    return not pool
+        pool.remove(best)
+    return True
 
 
 def _relations_22(s: SpectralClass) -> list[tuple[float, float]]:
@@ -109,7 +114,6 @@ def is_22_product(s: SpectralClass, tol: float = SPECTRAL_TOL) -> tuple[bool, tu
     if not all(r <= tol * w for r, w in _relations_22(s)):
         return False, None
     zs = s.eigenvalues
-    wtol = max(tol, 1e-7)  # witness matching may be looser than the verdict
     for j in range(1, 4):
         u = zs[0]
         v = next(zs[k] for k in range(1, 4) if k != j)
@@ -119,7 +123,7 @@ def is_22_product(s: SpectralClass, tol: float = SPECTRAL_TOL) -> tuple[bool, tu
                 continue
             b = u / a
             spectrum = (a * b, a / b, b / a, 1.0 / (a * b))
-            if _match_multiset(spectrum, zs, wtol):
+            if _greedy_match((_match_entry(c, zs, tol) for c in spectrum), [0, 1, 2, 3]):
                 return True, (a, b)
     return True, None
 
@@ -163,39 +167,27 @@ def _bipartite_splits(zs: tuple[complex, ...], d_a: int, d_b: int, tol: float):
     multiset. Root-of-unity rescales are tried to meet the unit-product
     constraint on both sides.
 
-    The multiset check is `_match_multiset` on the predicted interior
-    against the unused eigenvalues: each predicted value, in grid order,
-    takes its nearest unused eigenvalue (the first on a tie), and the
-    choice is rejected at the first value with none within the bound.
-    A predicted value depends only on its row and column entries, so it
-    is computed once per spectrum, with its distances to every eigenvalue.
+    The multiset check is `_greedy_match` of the predicted interior, in
+    grid order, against the unused eigenvalues. A predicted value depends
+    only on its row and column entries, so it is computed once per
+    spectrum, with its distances to every eigenvalue.
     """
     rest = list(range(1, len(zs)))
     z00 = zs[0]
-    match_tol = max(tol, 1e-7)
     predicted: dict[tuple[int, int], tuple[list[float], float]] = {}
 
-    def distances(a: int, b: int) -> tuple[list[float], float]:
-        # interior value col[i] * row[j] / z00 with col[i] = zs[a], row[j] = zs[b]
-        c = zs[a] * zs[b] / z00
-        predicted[(a, b)] = entry = ([abs(c - z) for z in zs], match_tol * (1.0 + abs(c)))
+    def predict(cell: tuple[int, int]) -> tuple[list[float], float]:
+        entry = predicted.get(cell)
+        if entry is None:  # cell (a, b): interior value col[i] * row[j] / z00 with col[i] = zs[a], row[j] = zs[b]
+            predicted[cell] = entry = _match_entry(zs[cell[0]] * zs[cell[1]] / z00, zs, tol)
         return entry
-
-    def matches(col_idx, row_idx, pool: list[int]) -> bool:
-        for a in col_idx:
-            for b in row_idx:
-                dist, bound = predicted.get((a, b)) or distances(a, b)
-                best = min(pool, key=dist.__getitem__)
-                if dist[best] > bound:
-                    return False
-                pool.remove(best)
-        return True
 
     for row_idx in combinations(rest, d_b - 1):
         row_left = [k for k in rest if k not in row_idx]
         row = [z00] + [zs[k] for k in row_idx]
         for col_idx in combinations(row_left, d_a - 1):
-            if not matches(col_idx, row_idx, [k for k in row_left if k not in col_idx]):
+            pool = [k for k in row_left if k not in col_idx]
+            if not _greedy_match(map(predict, product(col_idx, row_idx)), pool):
                 continue
             col = [z00] + [zs[k] for k in col_idx]
             col_prod = prod(col)

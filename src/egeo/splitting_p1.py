@@ -57,8 +57,6 @@ def _search(target: Counter, b: list[int], c: list[int], d_a: int, d_b: int):
         return None
     if len(b) == d_a and len(c) == d_b:
         return (b, c) if not res else None
-    if not res:
-        return None
     s = min(res)
     if len(b) < d_a:
         out = _search(target, b + [s], c, d_a, d_b)

@@ -185,12 +185,16 @@ def minor_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     if rows > MINOR_SIZE_CAP or cols > MINOR_SIZE_CAP:
         raise TooLarge(f"minor enumeration capped at {MINOR_SIZE_CAP}x{MINOR_SIZE_CAP}, got {rows}x{cols}")
     for k in range(min(rows, cols), 0, -1):
-        ri = np.array(list(combinations(range(rows), k)))
-        ci = np.array(list(combinations(range(cols), k)))
-        minors = np.linalg.det(scaled[ri[:, None, :, None], ci[None, :, None, :]])
-        if (np.abs(minors) > tol).any():
+        if (np.abs(_stacked_minors(scaled, k)) > tol).any():
             return k
     return 0
+
+
+def _stacked_minors(m: np.ndarray, k: int) -> np.ndarray:
+    """Every k-minor of m, indexed [row subset, column subset] with the subsets in lexicographic order."""
+    ri = np.array(list(combinations(range(m.shape[0]), k)), dtype=np.intp)
+    ci = np.array(list(combinations(range(m.shape[1]), k)), dtype=np.intp)
+    return np.linalg.det(m[ri[:, None, :, None], ci[None, :, None, :]])
 
 
 @dataclass(frozen=True)
@@ -257,13 +261,11 @@ def cofactor_matrix(m: np.ndarray) -> np.ndarray:
     n = m.shape[0]
     if n > MINOR_SIZE_CAP:
         raise TooLarge(f"cofactor enumeration capped at {MINOR_SIZE_CAP}, got {n}")
-    out = np.empty((n, n), dtype=complex)
+    if n == 0:
+        return np.empty((0, 0), dtype=complex)
+    # reversed, the lexicographic (n-1)-subsets omit index 0, 1, ..., n-1 in turn
     idx = np.arange(n)
-    for i in range(n):
-        for j in range(n):
-            sub = m[np.ix_(idx != i, idx != j)]
-            out[i, j] = (-1) ** (i + j) * (np.linalg.det(sub) if n > 1 else 1.0)
-    return out
+    return _stacked_minors(m, n - 1)[::-1, ::-1] * (-1) ** np.add.outer(idx, idx)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,6 @@
+import cmath
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -171,6 +174,21 @@ def test_defect_rejects_nonunit_scalar():
         [(0, 1, np.eye(2)), (1, 2, np.eye(2)), (0, 2, 0.5 * np.eye(2))],
         triples=[(0, 1, 2)],
     )
+    with pytest.raises(NotRootOfUnity):
+        pgl_cocycle_defect(cover)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_defect_of_a_cover_without_m_infers_m_as_p_squared(p):
+    cover = symbol_cover(p)
+    inferred = pgl_cocycle_defect(dataclasses.replace(cover, m=None))
+    assert inferred.m == p * p
+    assert inferred == pgl_cocycle_defect(cover)
+
+
+@pytest.mark.parametrize("scalar", [1 + 1e-6, cmath.exp(2j * cmath.pi * 2**-0.5)])
+def test_defect_without_m_rejects_a_scalar_off_the_unit_circle_or_of_no_small_order(scalar):
+    cover = make_cover(2, [(0, 1, np.eye(2)), (1, 2, np.eye(2)), (0, 2, np.eye(2) / scalar)], triples=[(0, 1, 2)])
     with pytest.raises(NotRootOfUnity):
         pgl_cocycle_defect(cover)
 

@@ -219,6 +219,37 @@ def test_schmidt_of_a_state_whose_norm_overflows_names_the_norm(tmp_path):
     assert json.loads(done.stderr)["error"].startswith("the norm of the state overflows a float")
 
 
+def test_spinchain_whose_hopping_block_underflows_names_j_and_delta_with_no_warning():
+    done = run_cli("spinchain", "--j", "1e-300", "--delta", "1e300")
+    assert (done.returncode, done.stdout) == (2, "")
+    (line,) = done.stderr.splitlines()
+    error = json.loads(line)["error"]
+    assert "--j" in error and "--delta" in error
+
+
+@pytest.mark.parametrize("j, delta", [("1e-200", "1e200"), ("1", "1e300"), ("1e-300", "1e-10")])
+def test_spinchain_at_extreme_scales_gives_the_ground_state_at_energy_minus_j(j, delta):
+    done = run_cli("spinchain", "--j", j, "--delta", delta, "--theta-u", "1.3")
+    assert (done.returncode, done.stderr) == (0, "")
+    out = json.loads(done.stdout)["outputs"]
+    h = np.array([[complex(re, im) for re, im in row] for row in out["hamiltonian"]])
+    gs = np.array([complex(re, im) for re, im in out["ground_state"]])
+    assert np.linalg.norm(h @ gs + float(j) * gs) <= 1e-12 * float(j) * np.linalg.norm(gs)
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_141_and_no_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody reads: writing the report fails with EPIPE
+    env = {**os.environ, "PYTHONPATH": str(Path(egeo.__file__).parents[1])}
+    argv = [sys.executable, "-m", "egeo.cli", "repro", "--only", "bell-battery"]
+    try:
+        done = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr
+
+
 def test_schmidt_of_a_16_qubit_state_at_cut_0_stays_small(tmp_path):
     # A thin SVD of the 2 x 32768 flattening; a full one also forms a 32768 x 32768 unitary, 16 GiB of it alone.
     # Measured: 56 MB peak RSS for the child (2-core x86-64 VM, numpy 2.4, OpenBLAS); the ceiling is 3x that.

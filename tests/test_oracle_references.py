@@ -7,6 +7,12 @@ one label per subsystem. None may change a verdict or a witness: the
 references below are the code as it was before that sharing, with the
 set-intersection lattice operations, and every comparison is exact
 equality.
+
+The constructions written once and shared are held to their former
+separate formulas the same way, bit for bit: `cofactor_matrix` (minor by
+minor), the factor swap in `is_local_operator` (a permutation-matrix
+product), the `is_22_product` witness match (a value pool) and
+`random_block_product` (`np.kron`).
 """
 
 import cmath
@@ -21,16 +27,21 @@ from egeo import (
     Partition,
     ShapeMismatch,
     SpectralClass,
+    cofactor_matrix,
     d_product_oracle,
+    is_22_product,
+    is_local_operator,
+    loop_holonomy,
     make_state,
     meet,
     refines,
     tensor_spectrum,
 )
-from egeo import oracles, spectral_satake
+from egeo import gluing_sim, oracles, spectral_satake
 from egeo.oracles import _leading_factors, brute_force_finest, random_block_product, set_partitions
 from egeo.separability import _labelled, _meet_labels
-from egeo.spectral_satake import SPECTRAL_TOL, _bipartite_splits
+from egeo.spectral_satake import SPECTRAL_TOL, _bipartite_splits, _relations_22
+from egeo.tensor_core import unit_max_modulus
 
 # ------------------------------------------------------------- references
 
@@ -303,3 +314,146 @@ def test_brute_force_finest_tests_every_partition_of_an_entangled_state(monkeypa
     state = make_state((2,) * 5, rng.standard_normal(32) + 1j * rng.standard_normal(32))
     assert brute_force_finest(state) == Partition.trivial(5)
     assert len(tested) == 51 and 1 not in tested
+
+
+# ------------------------------------------------------------- shared constructions
+
+
+def reference_cofactor_matrix(m):
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[0]
+    out = np.empty((n, n), dtype=complex)
+    idx = np.arange(n)
+    for i in range(n):
+        for j in range(n):
+            sub = m[np.ix_(idx != i, idx != j)]
+            out[i, j] = (-1) ** (i + j) * (np.linalg.det(sub) if n > 1 else 1.0)
+    return out
+
+
+def test_cofactor_matrix_matches_the_minor_by_minor_reference_bit_for_bit():
+    rng = np.random.default_rng(167)
+    for trial in range(360):
+        n, kind = trial % 9, (trial // 9) % 4
+        if kind == 0:
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        elif kind == 1:  # rank n - 2 or below, where the cofactor matrix vanishes
+            m = sum((np.outer(rng.standard_normal(n), rng.standard_normal(n) + 1j) for _ in range(max(n - 2, 0))), np.zeros((n, n)))
+        elif kind == 2:  # rank n - 1: exact zeros and signed zeros in the input
+            m = rng.integers(-2, 3, (n, n)).astype(float)
+            if n:
+                m[-1] = m[0] * -0.0
+        else:
+            m = rng.standard_normal((n, n)) * 10.0 ** float(rng.uniform(-40, 40))  # no 7x7 minor overflows
+        got, want = cofactor_matrix(m), reference_cofactor_matrix(m)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (n, kind)
+    assert cofactor_matrix([[5.0]]).tolist() == [[1 + 0j]]
+
+
+def reference_swap_operator(d):
+    s = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            s[i * d + j, j * d + i] = 1.0
+    return s
+
+
+def test_is_local_operator_swaps_the_factors_like_the_permutation_matrix_bit_for_bit(monkeypatch):
+    seen = []
+    real = gluing_sim._realignment_rank_one
+
+    def recording(g, d_a, d_b, tol):
+        seen.append(np.array(g))
+        return real(g, d_a, d_b, tol)
+
+    monkeypatch.setattr(gluing_sim, "_realignment_rank_one", recording)
+    rng = np.random.default_rng(173)
+    operators = [loop_holonomy(p, word) for p in range(2, 7) for word in ("v", "uv", "uVv")]
+    for trial in range(250):
+        d = 2 + trial % 5
+        a, b, c = (rng.standard_normal((d**k, d**k)) + 1j * rng.standard_normal((d**k, d**k)) for k in (1, 1, 2))
+        g = np.kron(a, b) @ reference_swap_operator(d) if trial % 2 else c  # local after the swap, or generic
+        operators.append(np.where(rng.random(g.shape) < 0.2, -0.0, g))
+    swapped = 0
+    for g in operators:
+        d = int(round(g.shape[0] ** 0.5))
+        seen.clear()
+        local = is_local_operator(g, d, d)
+        if len(seen) == 2:
+            expected = unit_max_modulus(g) @ reference_swap_operator(d)
+            assert seen[1].tobytes() == expected.tobytes()
+            swapped += 1
+        else:
+            assert local
+    assert swapped >= 150
+
+
+def reference_is_22_product(s, tol):
+    if not all(r <= tol * w for r, w in _relations_22(s)):
+        return False, None
+    zs = s.eigenvalues
+    wtol = max(tol, 1e-7)  # witness matching may be looser than the verdict
+    for j in range(1, 4):
+        u = zs[0]
+        v = next(zs[k] for k in range(1, 4) if k != j)
+        for sign in (1, -1):
+            a = sign * cmath.sqrt(u * v)
+            if a == 0:
+                continue
+            b = u / a
+            spectrum = (a * b, a / b, b / a, 1.0 / (a * b))
+            if reference_match_multiset(spectrum, zs, wtol):
+                return True, (a, b)
+    return True, None
+
+
+def test_is_22_product_matches_the_value_pool_reference_witness_for_witness():
+    rng = np.random.default_rng(179)
+    witnesses = 0
+    for dims, s in seeded_spectra(rng, 900):
+        if dims != (2, 2):
+            continue
+        for tol in (1e-12, SPECTRAL_TOL, 1e-6, 1e-4):
+            got = is_22_product(s, tol)
+            assert got == reference_is_22_product(s, tol)
+            witnesses += got[1] is not None
+    assert witnesses > 150
+
+
+def reference_random_block_product(rng, dims, blocks):
+    n = len(dims)
+    factors = []
+    for block in blocks:
+        size = int(prod(dims[i] for i in block))
+        factors.append(rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    vec = factors[0]
+    for f in factors[1:]:
+        vec = np.kron(vec, f)
+    order = [i for block in blocks for i in block]
+    inverse = np.argsort(order)
+    shaped = vec.reshape([dims[i] for i in order]).transpose(inverse)
+    return make_state(dims, shaped.ravel())
+
+
+def reference_random_state(rng, dims):
+    n = int(prod(dims))
+    return make_state(dims, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def test_random_block_product_matches_the_kron_reference_bit_for_bit():
+    # One block is the repro battery's generic state: the same draws, the same state.
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        n = 1 + seed % 6
+        dims = tuple(int(d) for d in rng.integers(2, 4, n))
+        order = [int(i) for i in rng.permutation(n)]
+        cuts = sorted(int(c) for c in rng.choice(range(1, n), size=int(rng.integers(0, n)), replace=False)) if n > 1 else []
+        edges = [0] + cuts + [n]
+        blocks = [tuple(sorted(order[a:b])) for a, b in zip(edges, edges[1:])]
+        for got_blocks, reference in ((blocks, lambda r: reference_random_block_product(r, dims, blocks)),
+                                      ([tuple(range(n))], lambda r: reference_random_state(r, dims))):
+            got_rng, want_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+            got, want = random_block_product(got_rng, dims, got_blocks), reference(want_rng)
+            assert got.dims == want.dims and got.coeffs.tobytes() == want.coeffs.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
