@@ -268,12 +268,15 @@ def cmd_cech(args) -> tuple[dict, dict, int]:
     from .cech_brauer import check_reduction, class_order, is_2cocycle, pgl_cocycle_defect, symbol_cover, validate_nerve
 
     if args.cover:
+        if args.p is not None:
+            raise EgeoError(f"--p {args.p} and --cover {args.cover} each name a cover; give one of them")
         with open(args.cover, encoding="utf-8") as fh:
             cover = cover_from_json(json.load(fh))
         inputs = {"cover": args.cover, "da": args.da, "db": args.db}
     else:
-        cover = symbol_cover(args.p)
-        inputs = {"p": args.p, "da": args.da, "db": args.db}
+        p = 2 if args.p is None else args.p
+        cover = symbol_cover(p)
+        inputs = {"p": p, "da": args.da, "db": args.db}
     if any(d is not None and d < 2 for d in (args.da, args.db)):
         raise OutOfRange(f"--da and --db must be >= 2, got {args.da}, {args.db}")
     validate_nerve(cover)
@@ -429,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_spinchain)
 
     p = sub.add_parser("cech", help="cocycle defect, class order, reduction verdict")
-    p.add_argument("--p", type=int, default=2, help="build the symbol cover for this p (default 2)")
+    p.add_argument("--p", type=int, default=None, help="build the symbol cover for this p (default 2; not with --cover)")
     p.add_argument("--cover", default=None, help="cover JSON file instead of the generated symbol cover")
     p.add_argument("--da", type=int, default=None, help="A-side dimension for the reduction test")
     p.add_argument("--db", type=int, default=None, help="B-side dimension for the reduction test")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadWord, NonFinite, NotCentral, OutOfRange, ShapeMismatch
-from .tensor_core import DEFAULT_RANK_TOL, PureState, _frozen, make_state, numerical_rank, unit_max_modulus
+from .tensor_core import DEFAULT_RANK_TOL, PureState, _frozen, _rank_one_test, make_state
 
 WEYL_MAX_DIM = 64
 HOLONOMY_MAX_P = 8  # the loop holonomy acts in dimension p^2 <= WEYL_MAX_DIM
@@ -113,27 +113,19 @@ def commutator_scalar(g: np.ndarray, h: np.ndarray) -> complex:
     return scalar / abs(scalar)
 
 
-def _realignment_rank_one(g: np.ndarray, d_a: int, d_b: int, tol: float) -> bool:
-    r = g.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
-    return numerical_rank(r, tol) == 1
-
-
 def is_local_operator(g: np.ndarray, d_a: int, d_b: int, tol: float = DEFAULT_RANK_TOL) -> bool:
     """Membership in the Segre-variety stabilizer.
 
-    True iff some scalar multiple of the lift is a Kronecker product
-    A (x) B (realignment rank 1), or, when d_a = d_b, becomes one after
-    composing with the factor swap.
+    True iff some scalar multiple of the lift is a Kronecker product A (x) B:
+    as an (i_a, i_b, j_a, j_b) array, its cut {i_a, j_a} (the realignment)
+    has rank 1; or, when d_a = d_b, iff composing with the factor swap makes
+    one: its cut {i_a, j_b} has rank 1.
     """
-    ga = unit_max_modulus(g)
-    if ga.shape != (d_a * d_b, d_a * d_b):
-        raise ShapeMismatch(f"operator shape {ga.shape} does not match ({d_a * d_b}, {d_a * d_b})")
-    if _realignment_rank_one(ga, d_a, d_b, tol):
-        return True
-    if d_a == d_b:
-        # composing with the factor swap exchanges the two column indices
-        return _realignment_rank_one(ga.reshape(d_a * d_a, d_a, d_a).transpose(0, 2, 1), d_a, d_b, tol)
-    return False
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (d_a * d_b, d_a * d_b):
+        raise ShapeMismatch(f"operator shape {g.shape} does not match ({d_a * d_b}, {d_a * d_b})")
+    rank_one = _rank_one_test(g.reshape(d_a, d_b, d_a, d_b), tol)
+    return rank_one(0b0101) or (d_a == d_b and rank_one(0b1001))
 
 
 def qudit_encode(r: int, p: int) -> tuple[int, int]:

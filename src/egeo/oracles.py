@@ -2,26 +2,25 @@
 
 Each oracle reaches its answer by a route independent of the code it
 certifies: reconstruction and a full partition-lattice search against the
-cut scan, monomial linear algebra against the Schur-sum Hilbert function,
-an explicit Z/m solve against the Smith-form class order. The
-reproduction battery and the tests import them from here; no other
-subcommand loads this module. Two oracles live beside the code they serve
-instead: `tensor_core.minor_rank`, which the package exports, and
-`spectral_satake.d_product_oracle`, which `egeo satake` reports from.
+cut scan, monomial linear algebra against the Schur-sum Hilbert function.
+The reproduction battery and the tests import them from here; no other
+subcommand loads this module. References that only tests call (one
+partition's reconstruction test, the explicit Z/m solve against the
+Smith-form class order) live in those tests. Two oracles live beside the
+code they serve instead: `tensor_core.minor_rank`, which the package
+exports, and `spectral_satake.d_product_oracle`, which `egeo satake`
+reports from.
 """
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 
 import numpy as np
 
-from .cech_brauer import CechCover, Cocycle2, _coboundary_matrix
-from .modular import smith_normal_form
 from .separability import Partition, _labelled, _meet_labels
-from .tensor_core import Bipartition, PureState, _frozen, flatten, make_state
+from .tensor_core import Bipartition, PureState, flatten, make_state
 
 
 def _block_product(dims, blocks, factors) -> np.ndarray:
@@ -81,15 +80,6 @@ def _reconstructs(reference: np.ndarray, dims, blocks, factor, tol: float) -> bo
     candidate = _block_product(dims, blocks, [factor(tuple(block)) for block in blocks])
     candidate /= np.linalg.norm(candidate)
     return bool(abs(np.vdot(reference, candidate)) >= 1.0 - tol)
-
-
-def pi_product_by_reconstruction(state: PureState, partition: Partition, tol: float = 1e-8) -> bool:
-    """Oracle factorization test: extract one factor per block, reassemble, compare.
-
-    Independent of the rank-counting route: the verdict is the projective
-    overlap of the reassembled product with the original state.
-    """
-    return _reconstructs(state.normalized().coeffs, state.dims, partition.blocks, _leading_factors(state), tol)
 
 
 def brute_force_finest(state: PureState, tol: float = 1e-8) -> Partition:
@@ -157,45 +147,3 @@ def monomial_quotient_dim(t: int) -> int:
         if lead == len(rows):
             break
     return len(target) - rank
-
-
-def solve_mod(matrix, rhs, mod: int) -> list[int] | None:
-    """One solution x of matrix @ x = rhs (mod mod), or None if unsolvable."""
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if rows == 0:
-        return [0] * cols
-    s, u, v = smith_normal_form(matrix)
-    t = [sum(u[i][k] * int(rhs[k]) for k in range(rows)) % mod for i in range(rows)]
-    y = [0] * cols
-    for i in range(rows):
-        d = s[i][i] if i < cols else 0
-        g = gcd(d, mod)
-        if t[i] % g != 0:
-            return None
-        if i < cols and d % mod != 0:
-            mg = mod // g
-            y[i] = ((t[i] // g) * pow((d // g) % mg, -1, mg)) % mod if mg > 1 else 0
-    return [sum(v[i][k] * y[k] for k in range(cols)) % mod for i in range(cols)]
-
-
-def coboundary_witness(c: Cocycle2, cover: CechCover, scale: int = 1) -> dict | None:
-    """b on pairs with (delta b)_ijk = scale * c_ijk mod m, or None."""
-    matrix, pairs = _coboundary_matrix(cover)
-    rhs = [(scale * c.values[t]) % c.m for t in cover.triples]
-    sol = solve_mod(matrix, rhs, c.m)
-    if sol is None:
-        return None
-    return dict(zip(pairs, sol))
-
-
-def rescale_lifts(cover: CechCover, b_exponents: dict, m: int) -> CechCover:
-    """Multiply each canonical lift by zeta_m^(-b): shifts the defect by -delta(b)."""
-    zeta = cmath.exp(2j * cmath.pi / m)
-    new = {}
-    for (i, j), lift in cover.transitions.items():
-        key = (i, j) if (i, j) in b_exponents else (j, i)
-        sign = 1 if (i, j) in b_exponents else -1
-        b = b_exponents.get(key, 0)
-        new[(i, j)] = _frozen(lift * zeta ** (-sign * b))
-    return CechCover(cover.chart_count, cover.n, cover.pairs, new, cover.triples, cover.quadruples, cover.m)

@@ -9,19 +9,16 @@ tensor rank is implemented only for 2x2x2, via the contraction pencil.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
 
 from .errors import ShapeMismatch, TooLarge, WrongShape, ZeroState
-from .tensor_core import DEFAULT_RANK_TOL, Bipartition, PureState, _check_rank_tol, flatten, make_state, numerical_rank, unit_max_modulus
+from .tensor_core import CERTIFY_MIN_TOL, DEFAULT_RANK_TOL, Bipartition, PureState, _rank_one_test, make_state, numerical_rank, unit_max_modulus
 
 MAX_ENUM_SUBSYSTEMS = 16
-# Below this tolerance the rounding in a residual is no longer small next to
-# the certificates' factor-2 margin, so the SVD decides every cut.
-CERTIFY_MIN_TOL = 1e-11
 PENCIL_TOL = 1e-9
 # The most complex entries (512 KB) one stacked certificate in `flattening_lower_bound` holds.
 BATCH_ENTRIES = 2**15
@@ -102,66 +99,19 @@ def bipartitions(n: int) -> list[Bipartition]:
     return [Bipartition(n, _members(mask, n)) for mask in _cut_masks(n)]
 
 
-def _rank_one_test(state: PureState, tol: float) -> Callable[[int], bool]:
-    """The test "is the flattening along this cut (a bitmask) rank 1?".
-
-    Every flattening has the same entries, so the max-modulus coefficient
-    is the maximal-volume pivot of every one, and the rank-1 cross residual
-    R through it obeys ||R||_max <= 2 sigma_2 (Goreinov-Tyrtyshnikov).  So
-    ||R||_max > 4 tol ||T||_F proves sigma_2 > 2 tol sigma_1: not rank 1.
-    Also sigma_2 <= ||R||_F and sigma_1 is at least the norm of the pivot
-    row and of the pivot column, so ||R||_F <= tol/2 times the larger of
-    them proves sigma_2 <= tol/2 sigma_1: rank 1.  The factor-2 band keeps
-    each certified verdict equal to the SVD's; between the bounds the SVD
-    decides.  The reject test runs first; the two cannot both pass, as the
-    pivot row and column are slices of T, so an accepted cut has ||R||_max
-    <= ||R||_F <= tol/2 ||T||_F, a factor 8 below the reject bound that
-    rounding cannot close.  R is formed on the n-axis tensor, unflattened,
-    after dividing by the pivot's modulus: the verdicts do not depend on
-    scale, and with entries of modulus at most 1 no square overflows and
-    the pivot's does not underflow, whatever the scale of the coefficients.
-    The SVD sees the same rescaled entries.
-    """
-    _check_rank_tol(tol)
-    n = state.n_subsystems
-    t = state.tensor()
-    with np.errstate(over="ignore"):  # an overflowing modulus is still the largest
-        at = np.unravel_index(int(np.argmax(np.abs(t))), state.dims)
-    t = unit_max_modulus(t)
-    scaled = PureState(state.dims, t.reshape(-1))
-    pivot = t[at]
-    fixed = [slice(i, i + 1) for i in at]
-    free = slice(None)
-    reject = 4.0 * tol * np.linalg.norm(t)
-    certify = tol >= CERTIFY_MIN_TOL
-
-    def rank_one(mask: int) -> bool:
-        if certify:
-            col = t[tuple(free if mask >> i & 1 else fixed[i] for i in range(n))]
-            row = t[tuple(fixed[i] if mask >> i & 1 else free for i in range(n))]
-            r = t - col * (row / pivot)
-            if np.abs(r).max() > reject:
-                return False
-            if np.vdot(r, r).real <= (0.5 * tol) ** 2 * max(np.vdot(col, col).real, np.vdot(row, row).real):
-                return True
-        return numerical_rank(flatten(scaled, Bipartition(n, _members(mask, n))), tol) == 1
-
-    return rank_one
-
-
 def is_pi_product(state: PureState, p: Partition, tol: float = DEFAULT_RANK_TOL) -> bool:
     """True iff the state factors along every block of the partition."""
     if p.n_subsystems != state.n_subsystems:
         raise ShapeMismatch("partition does not match the state's subsystem count")
     if len(p.blocks) == 1:
         return True  # trivial partition: always product
-    rank_one = _rank_one_test(state, tol)
+    rank_one = _rank_one_test(state.tensor(), tol)
     return all(rank_one(sum(1 << i for i in block)) for block in p.blocks)
 
 
 def _product_cuts(state: PureState, tol: float) -> Iterator[int]:
     masks = _cut_masks(state.n_subsystems)
-    return filter(_rank_one_test(state, tol), masks)
+    return filter(_rank_one_test(state.tensor(), tol), masks)
 
 
 def finest_product_partition(state: PureState, tol: float = DEFAULT_RANK_TOL) -> Partition:
@@ -302,14 +252,13 @@ def rank_2x2x2(state: PureState, tol: float = DEFAULT_RANK_TOL) -> int:
     """
     if state.dims != (2, 2, 2):
         raise WrongShape(f"exact rank implemented only for dims (2,2,2), got {state.dims}")
-    state = PureState(state.dims, unit_max_modulus(state.coeffs))
-    ranks = [numerical_rank(flatten(state, cut), tol) for cut in bipartitions(3)]
-    if all(r == 1 for r in ranks):
+    products = sum(map(_rank_one_test(state.tensor(), tol), _cut_masks(3)))
+    if products == 3:
         return 1
-    if min(ranks) == 1:
-        # A factor splits off; the other pair carries Schmidt rank 2.
-        return max(ranks)
-    t = state.tensor()
+    if products:
+        # A factor splits off; the other pair carries Schmidt rank 2 (every flattening is 2 x 4).
+        return 2
+    t = unit_max_modulus(state.coeffs).reshape(2, 2, 2)
     m0, m1 = t[0], t[1]
     # Binary quadratic det(a M0 + b M1) = A a^2 + B ab + C b^2; with all
     # flattening ranks 2 it cannot vanish identically.

@@ -7,6 +7,7 @@ Coefficients are stored row-major with the last subsystem index fastest.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import combinations
 from math import prod
@@ -16,6 +17,9 @@ import numpy as np
 from .errors import DEFAULT_RANK_TOL, NonFinite, NotSquare, OutOfRange, ShapeMismatch, TooLarge, WrongShape, ZeroState
 
 MINOR_SIZE_CAP = 8
+# Below this tolerance the rounding in a residual is no longer small next to
+# the certificates' factor-2 margin, so the SVD decides every cut.
+CERTIFY_MIN_TOL = 1e-11
 SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
@@ -170,6 +174,54 @@ def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     """Count singular values above tol times the largest one."""
     _check_rank_tol(tol)
     return _rank_of(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False), tol)
+
+
+def _rank_one_test(t: np.ndarray, tol: float) -> Callable[[int], bool]:
+    """The test "is the flattening of the n-axis array t along this cut (a bitmask) rank 1?".
+
+    Every flattening has the same entries, so the max-modulus entry is the
+    maximal-volume pivot of every one, and the rank-1 cross residual R
+    through it obeys ||R||_max <= 2 sigma_2 (Goreinov-Tyrtyshnikov).  So
+    ||R||_max > 4 tol ||T||_F proves sigma_2 > 2 tol sigma_1: not rank 1.
+    Also sigma_2 <= ||R||_F and sigma_1 is at least the norm of the pivot
+    row and of the pivot column, so ||R||_F <= tol/2 times the larger of
+    them proves sigma_2 <= tol/2 sigma_1: rank 1.  The factor-2 band keeps
+    each certified verdict equal to the SVD's, which decides between the
+    bounds, below CERTIFY_MIN_TOL and for a zero t (rank 0 on every cut),
+    on the flattening `flatten` would give: the side holding axis 0 first.
+    The reject test runs first; the two cannot both pass, as the pivot row
+    and column are slices of T, so an accepted cut has ||R||_max <= ||R||_F
+    <= tol/2 ||T||_F, a factor 8 below the reject bound.  R is formed on
+    the n-axis array, unflattened, after dividing by the pivot's modulus:
+    with entries of modulus at most 1 no square overflows and the pivot's
+    does not underflow, whatever the scale of t.  The SVD sees the same
+    rescaled entries.
+    """
+    _check_rank_tol(tol)
+    n = t.ndim
+    with np.errstate(over="ignore"):  # an overflowing modulus is still the largest
+        at = np.unravel_index(int(np.argmax(np.abs(t))), t.shape)
+    t = unit_max_modulus(t)
+    pivot = t[at]
+    fixed = [slice(i, i + 1) for i in at]
+    free = slice(None)
+    reject = 4.0 * tol * np.linalg.norm(t)
+    certify = tol >= CERTIFY_MIN_TOL and pivot != 0
+
+    def rank_one(mask: int) -> bool:
+        if certify:
+            col = t[tuple(free if mask >> i & 1 else fixed[i] for i in range(n))]
+            row = t[tuple(fixed[i] if mask >> i & 1 else free for i in range(n))]
+            r = t - col * (row / pivot)
+            if np.abs(r).max() > reject:
+                return False
+            if np.vdot(r, r).real <= (0.5 * tol) ** 2 * max(np.vdot(col, col).real, np.vdot(row, row).real):
+                return True
+        a = [i for i in range(n) if mask >> i & 1 == mask & 1]
+        b = [i for i in range(n) if mask >> i & 1 != mask & 1]
+        return numerical_rank(t.transpose(a + b).reshape(prod(t.shape[i] for i in a), -1), tol) == 1
+
+    return rank_one
 
 
 def minor_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+from math import gcd
 
 import numpy as np
 import pytest
@@ -22,8 +23,52 @@ from egeo import (
     validate_nerve,
     weyl_ops,
 )
+from egeo.cech_brauer import CechCover, _coboundary_matrix
 from egeo.modular import smith_normal_form
-from egeo.oracles import coboundary_witness, rescale_lifts, solve_mod
+from egeo.tensor_core import _frozen
+
+
+# Explicit Z/m solves: the oracle the Smith-form class order is checked against.
+def solve_mod(matrix, rhs, mod: int) -> list[int] | None:
+    """One solution x of matrix @ x = rhs (mod mod), or None if unsolvable."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    if rows == 0:
+        return [0] * cols
+    s, u, v = smith_normal_form(matrix)
+    t = [sum(u[i][k] * int(rhs[k]) for k in range(rows)) % mod for i in range(rows)]
+    y = [0] * cols
+    for i in range(rows):
+        d = s[i][i] if i < cols else 0
+        g = gcd(d, mod)
+        if t[i] % g != 0:
+            return None
+        if i < cols and d % mod != 0:
+            mg = mod // g
+            y[i] = ((t[i] // g) * pow((d // g) % mg, -1, mg)) % mod if mg > 1 else 0
+    return [sum(v[i][k] * y[k] for k in range(cols)) % mod for i in range(cols)]
+
+
+def coboundary_witness(c: Cocycle2, cover: CechCover, scale: int = 1) -> dict | None:
+    """b on pairs with (delta b)_ijk = scale * c_ijk mod m, or None."""
+    matrix, pairs = _coboundary_matrix(cover)
+    rhs = [(scale * c.values[t]) % c.m for t in cover.triples]
+    sol = solve_mod(matrix, rhs, c.m)
+    if sol is None:
+        return None
+    return dict(zip(pairs, sol))
+
+
+def rescale_lifts(cover: CechCover, b_exponents: dict, m: int) -> CechCover:
+    """Multiply each canonical lift by zeta_m^(-b): shifts the defect by -delta(b)."""
+    zeta = cmath.exp(2j * cmath.pi / m)
+    new = {}
+    for (i, j), lift in cover.transitions.items():
+        key = (i, j) if (i, j) in b_exponents else (j, i)
+        sign = 1 if (i, j) in b_exponents else -1
+        b = b_exponents.get(key, 0)
+        new[(i, j)] = _frozen(lift * zeta ** (-sign * b))
+    return CechCover(cover.chart_count, cover.n, cover.pairs, new, cover.triples, cover.quadruples, cover.m)
 
 
 def vertex_gauge_cover(n, charts, lifts_at_charts, m=None, full_nerve=True):

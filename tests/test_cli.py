@@ -142,6 +142,11 @@ def test_cech_symbol_cover(capsys, tmp_path):
     assert report2["outputs"] == out
 
 
+def test_cech_without_p_or_cover_reports_the_p_2_symbol_cover(capsys):
+    assert invoke(capsys, "cech") == invoke(capsys, "cech", "--p", "2")
+    assert invoke(capsys, "cech")[1]["inputs"] == {"p": 2, "da": None, "db": None}
+
+
 def test_cech_with_only_db_reduces_along_its_cofactor(capsys):
     code, report = invoke(capsys, "cech", "--p", "4", "--db", "2")
     expected = egeo.check_reduction(egeo.symbol_cover(4), 8, 2)
@@ -406,6 +411,8 @@ MALFORMED_ARGV = {
     "holonomy-p-past-cap": ["holonomy", "--p", "9", "--loop", "uv"],
     "cech-da-not-dividing-cover": ["cech", "--p", "2", "--da", "3"],
     "cech-db-not-dividing-cover": ["cech", "--p", "2", "--db", "3"],
+    "cech-p-with-cover": ["cech", "--cover", "COVER_FILE", "--p", "99"],
+    "cech-default-p-with-cover": ["cech", "--p", "2", "--cover", "COVER_FILE"],
     "spinchain-Infinity-theta-u": ["spinchain", "--theta-u", "inf"],
     "spinchain-NaN-theta-u": ["spinchain", "--theta-u", "nan"],
     "spinchain-Infinity-delta": ["spinchain", "--delta", "inf"],
@@ -426,6 +433,8 @@ ERROR_TEXT = {
     "holonomy-p-past-cap": "2 <= p <= 8 (p^2 <= 64), got 9",
     "cech-da-not-dividing-cover": "--da 3 does not divide the cover dimension 4",
     "cech-db-not-dividing-cover": "--db 3 does not divide the cover dimension 4",
+    "cech-p-with-cover": "--p 99 and --cover",
+    "cech-default-p-with-cover": "--p 2 and --cover",
     "spinchain-Infinity-theta-u": "theta_u must be finite",
     "spinchain-NaN-theta-u": "theta_u must be finite",
     "spinchain-Infinity-delta": "delta must be finite",
@@ -447,7 +456,8 @@ def test_malformed_input_exits_2_with_one_json_error_line(capsys, tmp_path, case
         argv = [command, flag, str(path)] + (["--cut", "0"] if command == "schmidt" else [])
     else:
         (tmp_path / "bell.json").write_text(json.dumps(BELL))
-        argv = [str(tmp_path / "bell.json") if a == "BELL_FILE" else a for a in MALFORMED_ARGV[case]]
+        files = {"BELL_FILE": str(tmp_path / "bell.json"), "COVER_FILE": identity_cover(tmp_path, 4)}
+        argv = [files.get(a, a) for a in MALFORMED_ARGV[case]]
     code = run(argv)
     captured = capsys.readouterr()
     assert code == 2

@@ -153,6 +153,15 @@ def test_local_operator_shape_mismatch():
         is_local_operator(np.eye(4), 2, 3)
 
 
+@pytest.mark.filterwarnings("error")
+def test_zero_operator_is_not_local_and_prints_nothing(capfd):
+    # Rank 0 on every cut: the certified test leaves it to the SVD instead of dividing by a zero pivot.
+    for d_a, d_b in ((2, 2), (3, 3), (2, 3)):
+        for tol in (1e-3, 1e-9, 1e-12):
+            assert is_local_operator(np.zeros((d_a * d_b, d_a * d_b)), d_a, d_b, tol) is False
+    assert capfd.readouterr() == ("", "")
+
+
 def test_local_operator_rejects_tol_outside_unit_interval():
     for tol in (0.0, 1.0, -1e-9, 2.0):
         with pytest.raises(ShapeMismatch):

@@ -145,3 +145,85 @@ def test_verdicts_hold_when_an_entry_modulus_overflows():
     assert separability_report(ghz).gme and separability_report(ghz, 1e-12).gme
     assert abs(concurrence(make_state([2, 2], np.array([z, 0, 0, z]))) - 1.0) <= 1e-12
     assert is_local_operator(np.diag([z] * 4), 2, 2)
+
+
+# ------------------------------------------------------------- locality of operators
+# Seeded operators whose verdict is clear of tol: Kronecker products A (x) B,
+# the same composed with the factor swap (local when d_a = d_b), and generic
+# operators. Conjugation may legitimately carry an operator near tol across
+# it, so no near-tol case is generated here.
+
+OPERATOR_SPLITS = ((2, 2), (3, 3), (2, 3), (3, 2), (4, 4))
+
+
+def factor_swap(d):
+    """S |i, j> = |j, i> on C^d (x) C^d."""
+    s = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            s[i * d + j, j * d + i] = 1.0
+    return s
+
+
+def clear_operators(draw):
+    """(trial, operator, d_a, d_b, expected verdict), entries drawn by draw(rng, shape)."""
+    for trial in range(60):
+        rng = rng_for(trial, 4)
+        d_a, d_b = OPERATOR_SPLITS[trial % len(OPERATOR_SPLITS)]
+        kind = trial // len(OPERATOR_SPLITS) % 3
+        local = np.kron(draw(rng, (d_a, d_a)), draw(rng, (d_b, d_b)))
+        if kind == 0:
+            yield trial, local, d_a, d_b, True
+        elif kind == 1 and d_a == d_b:
+            yield trial, local @ factor_swap(d_a), d_a, d_b, True
+        else:
+            yield trial, draw(rng, (d_a * d_b, d_a * d_b)), d_a, d_b, False
+
+
+def gaussian(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def unit_entries(rng, shape):
+    """Entries in {0, 1, i, -1, -i}, mostly nonzero: products and multiples by any scale stay exact."""
+    return np.where(rng.random(shape) < 0.8, 1j ** rng.integers(0, 4, shape), 0)
+
+
+def test_locality_verdict_is_invariant_under_rescaling_at_every_scale():
+    # With entries in {0, +-1, +-i} s * g is exact for every finite s, so the whole
+    # range from the smallest subnormal to the largest double applies.
+    verdicts = set()
+    for trial, g, d_a, d_b, local in clear_operators(unit_entries):
+        expected = local or is_local_operator(g, d_a, d_b)  # a sparse generic draw may happen to be local
+        rng = rng_for(trial, 5)
+        for s in EXTREME_SCALES + list(10.0 ** rng.uniform(-323, 308, 4)):
+            assert is_local_operator(g * s, d_a, d_b) == expected, (trial, s)
+        verdicts.add(expected)
+    # Gaussian entries keep their bits wherever no product leaves the normal range.
+    for trial, g, d_a, d_b, expected in clear_operators(gaussian):
+        rng = rng_for(trial, 6)
+        g = g / np.abs(g).max()
+        for s in (1e-280, 1e-150, 1e150, 1e307, *(10.0 ** rng.uniform(-280, 307, 4))):
+            assert is_local_operator(g * s, d_a, d_b) == expected, (trial, s)
+        verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_locality_verdict_is_invariant_under_local_invertible_maps():
+    for trial, g, d_a, d_b, expected in clear_operators(gaussian):
+        rng = rng_for(trial, 7)
+        assert is_local_operator(g, d_a, d_b) == expected, trial
+        for _ in range(4):
+            left = np.kron(well_conditioned(rng, d_a), well_conditioned(rng, d_b))
+            right = np.kron(well_conditioned(rng, d_a), well_conditioned(rng, d_b))
+            assert is_local_operator(left @ g @ right, d_a, d_b) == expected, trial
+
+
+def test_locality_verdict_is_invariant_under_relabelling_the_factors():
+    relabelled_count = 0
+    for trial, g, d_a, d_b, expected in clear_operators(gaussian):
+        if d_a == d_b:
+            s = factor_swap(d_a)
+            assert is_local_operator(s @ g @ s, d_a, d_b) == is_local_operator(g, d_a, d_b) == expected, trial
+            relabelled_count += 1
+    assert relabelled_count >= 30

@@ -12,7 +12,9 @@ The constructions written once and shared are held to their former
 separate formulas the same way, bit for bit: `cofactor_matrix` (minor by
 minor), the factor swap in `is_local_operator` (a permutation-matrix
 product), the `is_22_product` witness match (a value pool) and
-`random_block_product` (`np.kron`).
+`random_block_product` (`np.kron`). `is_local_operator` and `rank_2x2x2`
+ask the certified rank-1 test of a cut; they are held verdict for verdict
+to the SVD forms they had before, near the tolerance and at every scale.
 """
 
 import cmath
@@ -25,23 +27,33 @@ import pytest
 from egeo import (
     LocalSpectra,
     Partition,
+    PureState,
     ShapeMismatch,
     SpectralClass,
+    WrongShape,
+    bipartitions,
     cofactor_matrix,
     d_product_oracle,
+    flatten,
     is_22_product,
     is_local_operator,
     loop_holonomy,
     make_state,
     meet,
+    numerical_rank,
+    rank_2x2x2,
     refines,
+    symbol_cover,
     tensor_spectrum,
+    w_family,
+    w_state,
 )
-from egeo import gluing_sim, oracles, spectral_satake
+from egeo import oracles, spectral_satake, tensor_core
 from egeo.oracles import _leading_factors, brute_force_finest, random_block_product, set_partitions
 from egeo.separability import _labelled, _meet_labels
 from egeo.spectral_satake import SPECTRAL_TOL, _bipartite_splits, _relations_22
-from egeo.tensor_core import unit_max_modulus
+from egeo.separability import PENCIL_TOL
+from egeo.tensor_core import CERTIFY_MIN_TOL, DEFAULT_RANK_TOL, unit_max_modulus
 
 # ------------------------------------------------------------- references
 
@@ -359,15 +371,22 @@ def reference_swap_operator(d):
     return s
 
 
+def realigned(g, d_a, d_b):
+    return g.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+
+
 def test_is_local_operator_swaps_the_factors_like_the_permutation_matrix_bit_for_bit(monkeypatch):
+    # Below CERTIFY_MIN_TOL the SVD decides both cuts: {0,2} is the
+    # realignment of the operator, {0,3} that of the operator times the swap.
     seen = []
-    real = gluing_sim._realignment_rank_one
+    real = tensor_core.numerical_rank
 
-    def recording(g, d_a, d_b, tol):
-        seen.append(np.array(g))
-        return real(g, d_a, d_b, tol)
+    def recording(m, tol):
+        seen.append(np.array(m))
+        return real(m, tol)
 
-    monkeypatch.setattr(gluing_sim, "_realignment_rank_one", recording)
+    monkeypatch.setattr(tensor_core, "numerical_rank", recording)
+    tol = CERTIFY_MIN_TOL / 10
     rng = np.random.default_rng(173)
     operators = [loop_holonomy(p, word) for p in range(2, 7) for word in ("v", "uv", "uVv")]
     for trial in range(250):
@@ -379,13 +398,14 @@ def test_is_local_operator_swaps_the_factors_like_the_permutation_matrix_bit_for
     for g in operators:
         d = int(round(g.shape[0] ** 0.5))
         seen.clear()
-        local = is_local_operator(g, d, d)
+        local = is_local_operator(g, d, d, tol)
+        assert seen[0].tobytes() == realigned(unit_max_modulus(g), d, d).tobytes()
         if len(seen) == 2:
-            expected = unit_max_modulus(g) @ reference_swap_operator(d)
+            expected = realigned(unit_max_modulus(g) @ reference_swap_operator(d), d, d)
             assert seen[1].tobytes() == expected.tobytes()
             swapped += 1
         else:
-            assert local
+            assert local and len(seen) == 1
     assert swapped >= 150
 
 
@@ -457,3 +477,185 @@ def test_random_block_product_matches_the_kron_reference_bit_for_bit():
             got, want = random_block_product(got_rng, dims, got_blocks), reference(want_rng)
             assert got.dims == want.dims and got.coeffs.tobytes() == want.coeffs.tobytes()
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# ------------------------------------------------------------- the rank-1 test for operators and 2x2x2 states
+# `is_local_operator` and `rank_2x2x2` ask the certified cut test
+# (`tensor_core._rank_one_test`); the references are the SVD forms they
+# replaced, verbatim.
+
+
+def reference_realignment_rank_one(g, d_a, d_b, tol):
+    r = g.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
+    return numerical_rank(r, tol) == 1
+
+
+def reference_is_local_operator(g, d_a, d_b, tol=DEFAULT_RANK_TOL):
+    ga = unit_max_modulus(g)
+    if ga.shape != (d_a * d_b, d_a * d_b):
+        raise ShapeMismatch(f"operator shape {ga.shape} does not match ({d_a * d_b}, {d_a * d_b})")
+    if reference_realignment_rank_one(ga, d_a, d_b, tol):
+        return True
+    if d_a == d_b:
+        # composing with the factor swap exchanges the two column indices
+        return reference_realignment_rank_one(ga.reshape(d_a * d_a, d_a, d_a).transpose(0, 2, 1), d_a, d_b, tol)
+    return False
+
+
+def reference_rank_2x2x2(state, tol=DEFAULT_RANK_TOL):
+    if state.dims != (2, 2, 2):
+        raise WrongShape(f"exact rank implemented only for dims (2,2,2), got {state.dims}")
+    state = PureState(state.dims, unit_max_modulus(state.coeffs))
+    ranks = [numerical_rank(flatten(state, cut), tol) for cut in bipartitions(3)]
+    if all(r == 1 for r in ranks):
+        return 1
+    if min(ranks) == 1:
+        # A factor splits off; the other pair carries Schmidt rank 2.
+        return max(ranks)
+    t = state.tensor()
+    m0, m1 = t[0], t[1]
+    # Binary quadratic det(a M0 + b M1) = A a^2 + B ab + C b^2; with all
+    # flattening ranks 2 it cannot vanish identically.
+    qa = np.linalg.det(m0)
+    qc = np.linalg.det(m1)
+    qb = np.linalg.det(m0 + m1) - qa - qc
+    scale = max(abs(qa), abs(qb), abs(qc))
+    qa, qb, qc = qa / scale, qb / scale, qc / scale
+    disc = qb * qb - 4.0 * qa * qc
+    return 2 if abs(disc) > PENCIL_TOL else 3
+
+
+TOLS = (1e-3, 1e-6, 1e-9, 1e-12)
+# sigma_2 / sigma_1 planted at f * tol: on the SVD's tolerance, on the bounds behind the two certificates, and clear of them.
+RATIO_FACTORS = tuple(f * (1 + s) for f in (0.0, 1e-3, 0.25, 0.5, 1.0, 2.0, 4.0) for s in (-1e-3, 1e-3))
+SCALES = (1e-320, 1e-300, 1e-150, 1.0, 1e150, 1e300)
+SPLITS = ((2, 2), (3, 3), (2, 3), (3, 2), (4, 4), (2, 4))
+
+
+def unit_columns(rng, d, k):
+    """k orthonormal complex columns of length d."""
+    return np.linalg.qr(rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)))[0]
+
+
+def complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def planted_operator(rng, d_a, d_b, ratio):
+    """An operator whose realignment has singular values 1 and ratio."""
+    u, v = unit_columns(rng, d_a * d_a, 2), unit_columns(rng, d_b * d_b, 2)
+    r = np.outer(u[:, 0], v[:, 0].conj()) + ratio * np.outer(u[:, 1], v[:, 1].conj())
+    return r.reshape(d_a, d_a, d_b, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_b, d_a * d_b)
+
+
+def seeded_operators(rng):
+    """(operator, d_a, d_b, tol): holonomies, symbol-cover lifts, planted, Kronecker, swapped and generic ones."""
+    for p in range(2, 9):
+        for _ in range(12):
+            word = "".join(rng.choice(list("uUvV"), size=int(rng.integers(1, 7))))
+            for tol in TOLS:
+                yield loop_holonomy(p, word), p, p, tol
+    for p in range(2, 6):
+        cover = symbol_cover(p)
+        splits = [(d, p * p // d) for d in range(2, p * p) if p * p % d == 0 and p * p // d >= 2]
+        for i, j in cover.pairs:
+            for d_a, d_b in splits:
+                yield cover.lift(i, j), d_a, d_b, TOLS[(i + j) % 4]
+                yield cover.lift(j, i), d_a, d_b, TOLS[(i * j) % 4]
+    for tol in TOLS:
+        for f in RATIO_FACTORS:
+            for d_a, d_b in SPLITS:
+                g = planted_operator(rng, d_a, d_b, f * tol) * SCALES[int(rng.integers(len(SCALES)))]
+                yield g, d_a, d_b, tol
+                if d_a == d_b:
+                    yield g @ reference_swap_operator(d_a), d_a, d_b, tol
+    for trial in range(300):
+        d_a, d_b = SPLITS[trial % len(SPLITS)]
+        a, b, c = complex_normal(rng, (d_a, d_a)), complex_normal(rng, (d_b, d_b)), complex_normal(rng, (d_a * d_b,) * 2)
+        scale = SCALES[trial % len(SCALES)]
+        tol = TOLS[trial // len(SCALES) % 4]
+        yield np.kron(a, b) * scale, d_a, d_b, tol
+        yield c * scale, d_a, d_b, tol
+        if d_a == d_b:
+            yield np.kron(a, b) @ reference_swap_operator(d_a) * scale, d_a, d_b, tol
+    for d_a, d_b in SPLITS:
+        for tol in TOLS:
+            yield np.zeros((d_a * d_b,) * 2), d_a, d_b, tol
+
+
+@pytest.mark.filterwarnings("error")
+def test_is_local_operator_matches_the_svd_reference_verdict_for_verdict():
+    rng = np.random.default_rng(181)
+    cases = local = 0
+    for g, d_a, d_b, tol in seeded_operators(rng):
+        got = is_local_operator(g, d_a, d_b, tol)
+        assert got == reference_is_local_operator(g, d_a, d_b, tol), (d_a, d_b, tol)
+        cases += 1
+        local += got
+    assert cases >= 2000 and 500 < local < cases - 500
+
+
+def planted_state(rng, ratio):
+    """A 2x2x2 state whose flattening along each factor has singular values 1 and ratio."""
+    a, b, c = (unit_columns(rng, 2, 2) for _ in range(3))
+    return np.einsum("i,j,k->ijk", a[:, 0], b[:, 0], c[:, 0]) + ratio * np.einsum("i,j,k->ijk", a[:, 1], b[:, 1], c[:, 1])
+
+
+def partly_product(rng, factor, ratio):
+    """The factor subsystem times a two-qubit state of Schmidt ratio `ratio`, perturbed off product at 1e-3."""
+    u, v = unit_columns(rng, 2, 2), unit_columns(rng, 2, 2)
+    pair = np.outer(u[:, 0], v[:, 0]) + ratio * np.outer(u[:, 1], v[:, 1])
+    t = np.einsum("i,jk->ijk", complex_normal(rng, 2), pair)
+    return np.moveaxis(t, 0, factor)
+
+
+def two_product_cuts(rng, ratio):
+    """|000> + ratio (|101> + |110>) under local unitaries: flattening ratios sqrt(2) ratio, ratio, ratio.
+
+    Near ratio = tol two cuts pass the rank test and one does not, which no exact tensor allows.
+    """
+    t = np.zeros((2, 2, 2), dtype=complex)
+    t[0, 0, 0], t[1, 0, 1], t[1, 1, 0] = 1.0, ratio, ratio
+    t = np.einsum("ai,bj,ck,ijk->abc", *(unit_columns(rng, 2, 2) for _ in range(3)), t)
+    return np.moveaxis(t, 0, int(rng.integers(3)))
+
+
+def seeded_2x2x2_states(rng):
+    """(coefficients, tol): product, partly product, generic and W-family states, planted near tol, at every scale."""
+    w_coeffs = w_state().coeffs.reshape(2, 2, 2)
+    for tol in TOLS:
+        for f in RATIO_FACTORS:
+            for scale in SCALES:
+                yield planted_state(rng, f * tol) * scale, tol
+                yield two_product_cuts(rng, f * tol) * scale, tol
+                yield partly_product(rng, int(rng.integers(3)), 1.0) + f * tol * planted_state(rng, 1.0) * 0.5, tol
+                yield partly_product(rng, int(rng.integers(3)), f * tol) * scale, tol
+    for trial in range(1200):
+        tol, scale = TOLS[trial % 4], SCALES[trial // 4 % len(SCALES)]
+        kind = trial // 24 % 5
+        if kind == 0:
+            t = np.einsum("i,j,k->ijk", *(complex_normal(rng, 2) for _ in range(3)))
+        elif kind == 1:
+            t = partly_product(rng, trial % 3, float(rng.uniform(0.01, 1)))
+        elif kind == 2:
+            t = complex_normal(rng, (2, 2, 2))
+        elif kind == 3:
+            t = w_family(complex(*rng.standard_normal(2)) * 10.0 ** float(rng.uniform(-6, 1))).coeffs.reshape(2, 2, 2)
+        else:  # local images of W: rank 3, at flattening rank 2
+            t = np.einsum("ai,bj,ck,ijk->abc", *(complex_normal(rng, (2, 2)) for _ in range(3)), w_coeffs)
+        yield t / np.abs(t).max() * scale, tol
+
+
+@pytest.mark.filterwarnings("error")
+def test_rank_2x2x2_matches_the_svd_reference_rank_for_rank():
+    rng = np.random.default_rng(191)
+    counts = {1: 0, 2: 0, 3: 0}
+    product_cuts = [0] * 4
+    for t, tol in seeded_2x2x2_states(rng):
+        state = make_state([2, 2, 2], t.reshape(-1))
+        got = rank_2x2x2(state, tol)
+        assert got == reference_rank_2x2x2(state, tol), tol
+        counts[got] += 1
+        product_cuts[sum(numerical_rank(flatten(state, cut), tol) == 1 for cut in bipartitions(3))] += 1
+    assert sum(counts.values()) >= 2000 and min(counts.values()) >= 100, counts
+    assert min(product_cuts) >= 20, product_cuts  # every count of product cuts, 2 included

@@ -145,3 +145,12 @@ def test_rank_geometry_is_exact_numerology_that_loads_no_numpy():
     for path in src.glob("*.py"):
         importers |= {(path.stem, f) for names, f in _imports(ast.parse(path.read_text(encoding="utf-8"))) if "rank_geometry" in names}
     assert importers == {("cli", "cmd_invariants"), ("repro", None)}
+
+
+def test_references_that_only_tests_call_live_in_the_tests():
+    src = Path(egeo.__file__).parent
+    moved = {"pi_product_by_reconstruction", "solve_mod", "coboundary_witness", "rescale_lifts"}
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert not defined & moved, path.stem

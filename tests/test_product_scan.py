@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import egeo.separability as separability
+import egeo.tensor_core as tensor_core
 from egeo import (
     Bipartition,
     Partition,
@@ -16,10 +17,14 @@ from egeo import (
     bipartitions,
     flatten,
     is_gme,
+    is_local_operator,
     is_pi_product,
     make_state,
     numerical_rank,
+    rank_2x2x2,
     separability_report,
+    w_state,
+    weyl_ops,
 )
 from egeo.oracles import random_block_product
 from egeo.tensor_core import DEFAULT_RANK_TOL as TOL
@@ -152,7 +157,7 @@ def test_is_pi_product_matches_reference():
 
 def test_clear_verdicts_need_no_svd(monkeypatch):
     calls = []
-    monkeypatch.setattr(separability, "numerical_rank", lambda *a: calls.append(a) or numerical_rank(*a))
+    monkeypatch.setattr(tensor_core, "numerical_rank", lambda *a: calls.append(a) or numerical_rank(*a))
     rng = np.random.default_rng(3)
     dims = (2, 2, 3, 2, 2, 2, 2, 2)
     generic = make_state(dims, rng.standard_normal(384) + 1j * rng.standard_normal(384))
@@ -160,6 +165,28 @@ def test_clear_verdicts_need_no_svd(monkeypatch):
     assert separability_report(generic).gme
     assert len(separability_report(planted).product_bipartitions) == 2**3 - 1
     assert calls == []
+    # The same count sees the SVDs below the certified tolerance, one per cut.
+    assert separability_report(generic, separability.CERTIFY_MIN_TOL / 10).gme
+    assert len(calls) == 2**7 - 1
+
+
+def test_clear_operator_and_2x2x2_verdicts_need_no_svd(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda m, **kw: calls.append(m) or real(m, **kw))
+    rng = np.random.default_rng(4)
+    a, b = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(2))
+    generic = make_state([2, 2, 2], rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    assert not is_local_operator(weyl_ops(4).x_inv, 2, 2)
+    assert is_local_operator(np.kron(a, b), 2, 2)
+    assert rank_2x2x2(generic) in (2, 3) and rank_2x2x2(w_state()) == 3
+    assert calls == []
+    # Below the certified tolerance the SVD decides: two cuts for the shift, one for the product, three for W.
+    tol = separability.CERTIFY_MIN_TOL / 10
+    assert not is_local_operator(weyl_ops(4).x_inv, 2, 2, tol)
+    assert is_local_operator(np.kron(a, b), 2, 2, tol)
+    assert rank_2x2x2(w_state(), tol) == 3
+    assert [m.shape for m in calls] == [(4, 4)] * 3 + [(2, 4), (4, 2), (4, 2)]
 
 
 def test_a_rejected_cut_pays_for_no_accept_test(monkeypatch):
