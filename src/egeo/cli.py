@@ -246,7 +246,8 @@ def cmd_spinchain(args) -> tuple[dict, dict, int]:
     cut = Bipartition(2, (0,))
     outputs = {
         "hamiltonian": h,
-        "spectrum": np.linalg.eigvalsh(h),
+        # the hopping block's eigenvalues and the penalty diagonal: each exact at every scale
+        "spectrum": sorted([*np.linalg.eigvalsh(h[:2, :2]), params.delta, params.delta]),
         "ground_state": gs.coeffs,
         "glued_state": glued.coeffs,
         "schmidt_rank_before": numerical_rank(flatten(to_qudit_pair(gs, 2), cut)),
@@ -267,7 +268,7 @@ def _square_split(n: int) -> tuple[int, int]:
 def cmd_cech(args) -> tuple[dict, dict, int]:
     from .cech_brauer import check_reduction, class_order, is_2cocycle, pgl_cocycle_defect, symbol_cover, validate_nerve
 
-    if args.cover:
+    if args.cover is not None:
         if args.p is not None:
             raise EgeoError(f"--p {args.p} and --cover {args.cover} each name a cover; give one of them")
         with open(args.cover, encoding="utf-8") as fh:

@@ -124,6 +124,8 @@ def is_local_operator(g: np.ndarray, d_a: int, d_b: int, tol: float = DEFAULT_RA
     g = np.asarray(g, dtype=complex)
     if g.shape != (d_a * d_b, d_a * d_b):
         raise ShapeMismatch(f"operator shape {g.shape} does not match ({d_a * d_b}, {d_a * d_b})")
+    if not np.isfinite(g).all():
+        raise NonFinite("operator has a non-finite entry")
     rank_one = _rank_one_test(g.reshape(d_a, d_b, d_a, d_b), tol)
     return rank_one(0b0101) or (d_a == d_b and rank_one(0b1001))
 
@@ -203,18 +205,14 @@ def spin_hamiltonian(params: SpinChainParams) -> np.ndarray:
 def ground_state(params: SpinChainParams) -> PureState:
     """Normalized minimal-energy eigenvector, |1>-coefficient real positive.
 
-    Equals (u^(1/4)|0> + |1>)/sqrt(2) at energy -J.
+    Equals (u^(1/4)|0> + |1>)/sqrt(2) at energy -J. Only the hopping block
+    on sites 0, 1 is solved: its entries share the scale J, so no penalty
+    delta can flush them, and both entries of its ground vector have
+    modulus 1/sqrt(2).
     """
-    h = spin_hamiltonian(params)
-    vals, vecs = np.linalg.eigh(h)
-    gs = vecs[:, int(np.argmin(vals))]
-    if gs[1] == 0:  # eigh scales h down when delta passes about 1e146, and a tiny J then underflows to 0
-        raise OutOfRange(
-            f"J = {params.j_coupling} (--j) is too small against delta = {params.delta} (--delta): "
-            "the eigensolver flushes the hopping block to zero"
-        )
+    gs = np.linalg.eigh(spin_hamiltonian(params)[:2, :2])[1][:, 0]
     phase = gs[1] / abs(gs[1])
-    return make_state([4], gs * np.conj(phase))
+    return make_state([4], [*gs * np.conj(phase), 0, 0])
 
 
 def glue_ground_state(params: SpinChainParams) -> PureState:

@@ -171,7 +171,6 @@ def check_finest_partition(rng) -> tuple[bool, str]:
 
 
 def check_numerology(rng) -> tuple[bool, str]:
-    start = time.perf_counter()
     problems = []
     for d in range(2, 7):
         if determinantal_degree(d, d, 1) != segre_degree(d, d):
@@ -187,10 +186,7 @@ def check_numerology(rng) -> tuple[bool, str]:
         dim, _ = determinantal_dim(d_a, d_b, r)
         if fit_dim != dim or fit_deg != determinantal_degree(d_a, d_b, r):
             problems.append(f"fit mismatch at ({d_a},{d_b},{r})")
-    elapsed = time.perf_counter() - start
-    if elapsed >= 1.0:
-        problems.append(f"too slow: {elapsed:.3f}s")
-    return not problems, "; ".join(problems) if problems else f"all cross-checks agree, {elapsed * 1e3:.0f}ms"
+    return not problems, "; ".join(problems) if problems else "all cross-checks agree"
 
 
 def check_spin_chain(rng) -> tuple[bool, str]:
@@ -240,13 +236,9 @@ def check_holonomy(rng) -> tuple[bool, str]:
 
 
 def check_cech(rng) -> tuple[bool, str]:
-    start = time.perf_counter()
     problems = []
     cover = symbol_cover(2)
-    try:
-        validate_nerve(cover)
-    except Exception as exc:  # pragma: no cover - diagnostic path
-        problems.append(f"nerve invalid: {exc}")
+    validate_nerve(cover)
     defect = pgl_cocycle_defect(cover)
     if defect.m != 4:
         problems.append(f"defect modulus {defect.m} != 4")
@@ -263,15 +255,10 @@ def check_cech(rng) -> tuple[bool, str]:
             f"DIAGNOSTIC: computed obstruction order {order} on the 9-chart nerve "
             f"does not resolve the full period 4; the finite model under-resolves the class"
         )
-    elapsed = time.perf_counter() - start
-    if elapsed >= 1.0:
-        problems.append(f"too slow: {elapsed:.3f}s")
-    detail = "; ".join(problems) if problems else f"order={order}, not reducible, torsion=2, {elapsed * 1e3:.0f}ms"
-    return not problems, detail
+    return not problems, "; ".join(problems) if problems else f"order={order}, not reducible, torsion=2"
 
 
 def check_splitting(rng) -> tuple[bool, str]:
-    start = time.perf_counter()
     problems = []
     count = 0
     for tup in combinations_with_replacement(range(5), 4):
@@ -292,10 +279,7 @@ def check_splitting(rng) -> tuple[bool, str]:
     degrees = SplittingType(tuple(sorted(b + c for b in (0, 2) for c in (0, 1, 5))))
     if (factor_sumset(degrees, 2, 3) is None) or (factor_sumset(degrees, 3, 2) is None):
         problems.append("transpose symmetry fails on 2x3")
-    elapsed = time.perf_counter() - start
-    if elapsed >= 1.0:
-        problems.append(f"too slow: {elapsed:.3f}s")
-    return not problems, "; ".join(problems) if problems else f"{count} multisets equivalent, {elapsed * 1e3:.0f}ms"
+    return not problems, "; ".join(problems) if problems else f"{count} multisets equivalent"
 
 
 def _random_unit_product(rng, d: int) -> tuple[complex, ...]:
@@ -404,6 +388,8 @@ CHECKS = [
     ("satake-criteria", check_satake),
     ("incidence-cofactor", check_incidence),
 ]
+# Wall-clock budgets in seconds: a check whose whole call reaches its budget fails.
+BUDGETS = {"degree-hilbert-crosschecks": 1.0, "cech-obstruction": 1.0, "splitting-equivalence": 1.0}
 
 
 def run_battery(seed: int = DEFAULT_SEED, names: list[str] | None = None) -> list[CheckResult]:
@@ -417,5 +403,8 @@ def run_battery(seed: int = DEFAULT_SEED, names: list[str] | None = None) -> lis
             passed, detail = fn(rng)
         except Exception as exc:  # a crashed check is a failed check
             passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, passed, detail, time.perf_counter() - start))
+        elapsed = time.perf_counter() - start
+        if elapsed >= BUDGETS.get(name, float("inf")):
+            passed, detail = False, f"{detail}; too slow: {elapsed:.3f}s against a {BUDGETS[name]:g}s budget"
+        results.append(CheckResult(name, passed, detail, elapsed))
     return results

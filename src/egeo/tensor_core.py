@@ -232,6 +232,8 @@ def minor_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     All minors of one order go through one stacked det call; each is the
     same LU as a det of that submatrix alone.
     """
+    if not np.isfinite(m).all():
+        raise NonFinite("matrix has a non-finite entry")
     scaled = unit_max_modulus(m)
     rows, cols = scaled.shape
     if rows > MINOR_SIZE_CAP or cols > MINOR_SIZE_CAP:

@@ -224,12 +224,25 @@ def test_schmidt_of_a_state_whose_norm_overflows_names_the_norm(tmp_path):
     assert json.loads(done.stderr)["error"].startswith("the norm of the state overflows a float")
 
 
-def test_spinchain_whose_hopping_block_underflows_names_j_and_delta_with_no_warning():
-    done = run_cli("spinchain", "--j", "1e-300", "--delta", "1e300")
-    assert (done.returncode, done.stdout) == (2, "")
-    (line,) = done.stderr.splitlines()
-    error = json.loads(line)["error"]
-    assert "--j" in error and "--delta" in error
+def block_residual(out, j):
+    """max |(H0/J) g + g| over the hopping block H0 of the printed Hamiltonian and the printed ground state's g."""
+    h0 = np.array([[complex(re, im) for re, im in row[:2]] for row in out["hamiltonian"][:2]])
+    gs = np.array([complex(re, im) for re, im in out["ground_state"]])
+    return np.abs((h0.real / j + 1j * (h0.imag / j)) @ gs[:2] + gs[:2]).max()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("j", ["1e-159", "1e-165", repr(10**-169.25), "1e-300"])
+def test_spinchain_beside_a_huge_penalty_solves_its_hopping_block_exactly(capsys, j):
+    # A 4x4 eigensolve scales the hopping block down by delta: the ground state missed its block
+    # equation by 9e-12, 9e-6 and 0.23 at the first three J, and the block flushed to zero at the last.
+    code = run(["spinchain", f"--j={j}", "--delta=1e300", "--theta-u=1.3"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    out = json.loads(captured.out)["outputs"]
+    assert block_residual(out, float(j)) <= 1e-15
+    assert out["ground_state"][2:] == [[0.0, 0.0], [0.0, 0.0]]
+    assert np.allclose(out["spectrum"], [-float(j), float(j), 1e300, 1e300], rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("j, delta", [("1e-200", "1e200"), ("1", "1e300"), ("1e-300", "1e-10")])
@@ -237,9 +250,16 @@ def test_spinchain_at_extreme_scales_gives_the_ground_state_at_energy_minus_j(j,
     done = run_cli("spinchain", "--j", j, "--delta", delta, "--theta-u", "1.3")
     assert (done.returncode, done.stderr) == (0, "")
     out = json.loads(done.stdout)["outputs"]
-    h = np.array([[complex(re, im) for re, im in row] for row in out["hamiltonian"]])
-    gs = np.array([complex(re, im) for re, im in out["ground_state"]])
-    assert np.linalg.norm(h @ gs + float(j) * gs) <= 1e-12 * float(j) * np.linalg.norm(gs)
+    assert block_residual(out, float(j)) <= 1e-15
+    assert out["ground_state"][2:] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+def test_block_residual_sees_a_state_that_is_not_the_ground_state():
+    # Squares of entries near J = 1e-200 underflow, so a residual norm formed from them reads 0 for any state.
+    out = {"hamiltonian": [[[0, 0], [-1e-200, 0]], [[-1e-200, 0], [0, 0]]], "ground_state": [[1, 0], [0, 0]]}
+    assert block_residual(out, 1e-200) == 1.0
+    out["ground_state"] = [[2**-0.5, 0], [2**-0.5, 0]]
+    assert block_residual(out, 1e-200) <= 1e-16
 
 
 def test_a_reader_that_closes_stdout_early_gets_exit_141_and_no_traceback():
@@ -413,6 +433,8 @@ MALFORMED_ARGV = {
     "cech-db-not-dividing-cover": ["cech", "--p", "2", "--db", "3"],
     "cech-p-with-cover": ["cech", "--cover", "COVER_FILE", "--p", "99"],
     "cech-default-p-with-cover": ["cech", "--p", "2", "--cover", "COVER_FILE"],
+    "cech-empty-cover-path": ["cech", "--cover", ""],
+    "cech-empty-cover-path-with-p": ["cech", "--cover", "", "--p", "3"],
     "spinchain-Infinity-theta-u": ["spinchain", "--theta-u", "inf"],
     "spinchain-NaN-theta-u": ["spinchain", "--theta-u", "nan"],
     "spinchain-Infinity-delta": ["spinchain", "--delta", "inf"],
@@ -435,6 +457,8 @@ ERROR_TEXT = {
     "cech-db-not-dividing-cover": "--db 3 does not divide the cover dimension 4",
     "cech-p-with-cover": "--p 99 and --cover",
     "cech-default-p-with-cover": "--p 2 and --cover",
+    "cech-empty-cover-path": "No such file or directory: ''",
+    "cech-empty-cover-path-with-p": "--p 3 and --cover",
     "spinchain-Infinity-theta-u": "theta_u must be finite",
     "spinchain-NaN-theta-u": "theta_u must be finite",
     "spinchain-Infinity-delta": "delta must be finite",

@@ -4,6 +4,7 @@ import pytest
 from egeo import (
     BadWord,
     Bipartition,
+    NonFinite,
     NotCentral,
     OutOfRange,
     ShapeMismatch,
@@ -160,6 +161,19 @@ def test_zero_operator_is_not_local_and_prints_nothing(capfd):
         for tol in (1e-3, 1e-9, 1e-12):
             assert is_local_operator(np.zeros((d_a * d_b, d_a * d_b)), d_a, d_b, tol) is False
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.inf)])
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3)])
+def test_local_operator_names_a_non_finite_entry(d_a, d_b, bad):
+    for where in ((0, 0), (1, 3), (-1, -1)):
+        g = np.eye(d_a * d_b, dtype=complex)
+        g[where] = bad
+        with pytest.raises(NonFinite, match="operator has a non-finite entry"):
+            is_local_operator(g, d_a, d_b)
+    with pytest.raises(NonFinite, match="operator has a non-finite entry"):
+        is_local_operator(np.full((d_a * d_b, d_a * d_b), bad), d_a, d_b)
 
 
 def test_local_operator_rejects_tol_outside_unit_interval():

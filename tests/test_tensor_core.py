@@ -153,6 +153,16 @@ def test_minor_rank_constructed_rank_two():
     assert minor_rank(m) == 2 == numerical_rank(m)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(np.nan, 1.0)])
+def test_minor_rank_names_a_non_finite_entry(bad):
+    for shape, where in (((4, 4), (1, 2)), ((2, 5), (0, 0)), ((1, 1), (0, 0))):
+        m = np.ones(shape, dtype=complex) if shape == (1, 1) else np.eye(*shape, dtype=complex)
+        m[where] = bad
+        with pytest.raises(NonFinite, match="matrix has a non-finite entry"):
+            minor_rank(m)
+
+
 def test_minor_rank_size_cap():
     with pytest.raises(TooLarge):
         minor_rank(np.eye(9))
