@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from math import isqrt
+from math import isfinite, isqrt
 from typing import TYPE_CHECKING
 
 # Domain modules and numpy are imported inside the functions that use them,
@@ -334,6 +334,8 @@ def cmd_satake(args) -> tuple[dict, dict, int]:
     dims = tuple(_parse_ints(args.d, "--d"))
     s = SpectralClass(tuple(_parse_eigs(args.eigs)))
     e = elem_sym(s)
+    if not all(isfinite(z.real) and isfinite(z.imag) for z in e):  # the report could not carry them as JSON numbers
+        raise OutOfRange("the elementary symmetric values of --eigs overflow a float")
     verdict = witness = None
     if dims == (2, 2):
         verdict, w22 = is_22_product(s, args.tol)

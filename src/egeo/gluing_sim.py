@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadWord, NonFinite, NotCentral, OutOfRange, ShapeMismatch
-from .tensor_core import DEFAULT_RANK_TOL, PureState, _frozen, _rank_one_test, make_state
+from .tensor_core import DEFAULT_RANK_TOL, SMALLEST_NORMAL, PureState, _frozen, _rank_one_test, make_state
 
 WEYL_MAX_DIM = 64
 HOLONOMY_MAX_P = 8  # the loop holonomy acts in dimension p^2 <= WEYL_MAX_DIM
@@ -182,6 +182,8 @@ class SpinChainParams:
                 raise NonFinite(f"{name} must be finite, got {getattr(self, name)}")
         if not self.delta > self.j_coupling > 0:
             raise OutOfRange(f"need delta > J > 0, got J={self.j_coupling}, delta={self.delta}")
+        if self.j_coupling < SMALLEST_NORMAL:  # the hopping entries J u^(1/4) would round to whole subnormal steps
+            raise OutOfRange(f"J must be at least the smallest normal double {SMALLEST_NORMAL!r}, got J={self.j_coupling}")
         if self.branch_offset not in (0, 1, 2, 3):
             raise OutOfRange(f"branch offset must be in 0..3, got {self.branch_offset}")
 

@@ -2,7 +2,9 @@
 
 Each oracle reaches its answer by a route independent of the code it
 certifies: reconstruction and a full partition-lattice search against the
-cut scan, monomial linear algebra against the Schur-sum Hilbert function.
+cut scan, with each cut flattened here and decomposed once per state;
+monomial linear algebra (exact elimination over sparse rows) against the
+Schur-sum Hilbert function.
 The reproduction battery and the tests import them from here; no other
 subcommand loads this module. References that only tests call (one
 partition's reconstruction test, the explicit Z/m solve against the
@@ -20,7 +22,7 @@ from math import prod
 import numpy as np
 
 from .separability import Partition, _labelled, _meet_labels
-from .tensor_core import Bipartition, PureState, flatten, make_state
+from .tensor_core import PureState, make_state
 
 
 def _block_product(dims, blocks, factors) -> np.ndarray:
@@ -29,7 +31,7 @@ def _block_product(dims, blocks, factors) -> np.ndarray:
     for f in factors[1:]:
         vec = np.multiply.outer(vec, f).ravel()
     order = [i for block in blocks for i in block]
-    return vec.reshape([dims[i] for i in order]).transpose(np.argsort(order)).ravel()
+    return vec.reshape([dims[i] for i in order]).transpose(sorted(range(len(order)), key=order.__getitem__)).ravel()
 
 
 def random_block_product(rng, dims, blocks) -> PureState:
@@ -54,17 +56,19 @@ def set_partitions(n: int):
 def _leading_factors(state: PureState):
     """Block -> leading singular vector of the block's side of its flattening.
 
-    Each cut is decomposed once, on first use, and both of its sides are
-    kept, so every lookup after that returns the very same vector.
+    Each cut is flattened (subsystem 0's side as rows) and decomposed once, on
+    first use, and both of its sides are kept, so every lookup after that
+    returns the very same vector.
     """
-    n = state.n_subsystems
+    n, t = state.n_subsystems, state.tensor()
     factors: dict[tuple[int, ...], np.ndarray] = {}
 
     def factor(block: tuple[int, ...]) -> np.ndarray:
         if block not in factors:
-            cut = Bipartition(n, block)
-            u, _, vh = np.linalg.svd(flatten(state, cut), full_matrices=False)
-            factors[cut.block_a], factors[cut.block_b] = u[:, 0], vh[0, :]
+            rest = tuple(i for i in range(n) if i not in block)
+            a, b = (block, rest) if 0 in block else (rest, block)
+            u, _, vh = np.linalg.svd(t.transpose(a + b).reshape(prod(state.dims[i] for i in a), -1), full_matrices=False)
+            factors[a], factors[b] = u[:, 0], vh[0, :]
         return factors[block]
 
     return factor
@@ -123,27 +127,19 @@ def monomial_quotient_dim(t: int) -> int:
         return len(target)
     source = monomials(t - 2)
     index = {m: i for i, m in enumerate(target)}
-    rows = []
+    # Exact Gaussian elimination on sparse rows (column -> coefficient): a row is
+    # reduced by the pivot row of its leading column until it is zero or pivots.
+    pivots: dict[int, dict[int, Fraction]] = {}
     for m in source:
-        row = [Fraction(0)] * len(target)
-        up = (m[0] + 1, m[1], m[2], m[3] + 1)  # * ad
-        dn = (m[0], m[1] + 1, m[2] + 1, m[3])  # * bc
-        row[index[up]] += 1
-        row[index[dn]] -= 1
-        rows.append(row)
-    # exact Gaussian elimination
-    rank, lead = 0, 0
-    for col in range(len(target)):
-        piv = next((r for r in range(lead, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        for r in range(len(rows)):
-            if r != lead and rows[r][col] != 0:
-                f = rows[r][col] / rows[lead][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[lead])]
-        lead += 1
-        rank += 1
-        if lead == len(rows):
-            break
-    return len(target) - rank
+        up, dn = (m[0] + 1, m[1], m[2], m[3] + 1), (m[0], m[1] + 1, m[2] + 1, m[3])  # m * ad, m * bc
+        row = {index[up]: Fraction(1), index[dn]: Fraction(-1)}
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                pivots[lead] = row
+                break
+            f = row[lead] / pivots[lead][lead]
+            for col, x in pivots[lead].items():
+                row[col] = row.get(col, 0) - f * x
+            row = {col: x for col, x in row.items() if x}
+    return len(target) - len(pivots)

@@ -72,8 +72,11 @@ def _labelled(labels: list[int]) -> Partition:
 
 
 def refines(p: Partition, q: Partition) -> bool:
-    """True iff every block of p is contained in some block of q."""
-    return meet(p, q) == p
+    """True iff every block of p is contained in some block of q: its members share one q label."""
+    if p.n_subsystems != q.n_subsystems:
+        raise ShapeMismatch("partitions are over different subsystem counts")
+    label = {i: k for k, block in enumerate(q.blocks) for i in block}
+    return all(label[i] == label[block[0]] for block in p.blocks for i in block)
 
 
 def meet(p: Partition, q: Partition) -> Partition:
@@ -116,7 +119,8 @@ def _product_cuts(state: PureState, tol: float) -> Iterator[int]:
 
 def finest_product_partition(state: PureState, tol: float = DEFAULT_RANK_TOL) -> Partition:
     """Meet of all bipartitions along which the state is product."""
-    return separability_report(state, tol).finest
+    n = state.n_subsystems
+    return _labelled(_meet_labels([0] * n, _product_cuts(state, tol) if n > 1 else ()))
 
 
 def is_gme(state: PureState, tol: float = DEFAULT_RANK_TOL) -> bool:

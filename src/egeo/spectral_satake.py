@@ -78,20 +78,25 @@ def tensor_spectrum(locals_: LocalSpectra) -> SpectralClass:
     return SpectralClass(tuple(values))
 
 
-def _match_entry(c: complex, zs, tol: float) -> tuple[list[float], float]:
-    """Distances from c to every eigenvalue, and the farthest a match may lie: matching may be looser than the verdict."""
-    return [abs(c - z) for z in zs], max(tol, 1e-7) * (1.0 + abs(c))
+def _match_entry(c: complex, zs, tol: float) -> list[int]:
+    """Indices of the eigenvalues within the match bound of c (looser than the verdict), nearest first, ties by index."""
+    try:
+        dist, bound = [abs(c - z) for z in zs], max(tol, 1e-7) * (1.0 + abs(c))
+    except OverflowError:  # |c - z| or |c| past the float range, parts finite: the same test at quarter scale
+        c, zs = c / 4, [z / 4 for z in zs]
+        dist, bound = [abs(c - z) for z in zs], max(tol, 1e-7) * (0.25 + abs(c))
+    return sorted([k for k, d in enumerate(dist) if not d > bound], key=dist.__getitem__)
 
 
 def _greedy_match(entries, pool: list[int]) -> bool:
-    """Each (distances, bound) entry in turn takes its nearest unused eigenvalue index from pool.
+    """Each entry (candidate indices, nearest first) in turn takes its first index still in pool.
 
-    The first of equally near indices wins. The match fails at the first
-    entry whose nearest index lies beyond its bound. Consumes pool.
+    As pool is ascending, that is its nearest unused eigenvalue, the first of equally
+    near ones. The match fails at the first entry with none left. Consumes pool.
     """
-    for dist, bound in entries:
-        best = min(pool, key=dist.__getitem__)
-        if dist[best] > bound:
+    for candidates in entries:
+        best = next((k for k in candidates if k in pool), None)
+        if best is None:
             return False
         pool.remove(best)
     return True
@@ -169,32 +174,42 @@ def _bipartite_splits(zs: tuple[complex, ...], d_a: int, d_b: int, tol: float):
 
     The multiset check is `_greedy_match` of the predicted interior, in
     grid order, against the unused eigenvalues. A predicted value depends
-    only on its row and column entries, so it is computed once per
-    spectrum, with its distances to every eigenvalue.
+    only on its row and column entries, so its candidates are computed
+    once per spectrum, on first use. A column with no candidate in some
+    row slot fails whatever the pool, so each row takes its columns from
+    the others, in order. The log of a column product that under- or
+    overflows is the sum of logs: off by a multiple of 2 pi i, it gives
+    the same d_a roots.
     """
     rest = list(range(1, len(zs)))
     z00 = zs[0]
-    predicted: dict[tuple[int, int], tuple[list[float], float]] = {}
-
-    def predict(cell: tuple[int, int]) -> tuple[list[float], float]:
-        entry = predicted.get(cell)
-        if entry is None:  # cell (a, b): interior value col[i] * row[j] / z00 with col[i] = zs[a], row[j] = zs[b]
-            predicted[cell] = entry = _match_entry(zs[cell[0]] * zs[cell[1]] / z00, zs, tol)
-        return entry
-
+    cells: dict[tuple[int, int], list[int]] = {}  # (a, b): candidates of the interior value zs[a] * zs[b] / z00
     for row_idx in combinations(rest, d_b - 1):
         row_left = [k for k in rest if k not in row_idx]
-        row = [z00] + [zs[k] for k in row_idx]
-        for col_idx in combinations(row_left, d_a - 1):
+        columns = []  # every cell of a kept column is in cells
+        for a in row_left:
+            for b in row_idx:
+                cell = cells.get((a, b))
+                if cell is None:
+                    cell = cells[a, b] = _match_entry(zs[a] * zs[b] / z00, zs, tol)
+                if not cell:
+                    break
+            else:
+                columns.append(a)
+        for col_idx in combinations(columns, d_a - 1):
             pool = [k for k in row_left if k not in col_idx]
-            if not _greedy_match(map(predict, product(col_idx, row_idx)), pool):
+            if not _greedy_match(map(cells.__getitem__, product(col_idx, row_idx)), pool):
                 continue
+            row = [z00] + [zs[k] for k in row_idx]
             col = [z00] + [zs[k] for k in col_idx]
             col_prod = prod(col)
+            log_prod = cmath.log(col_prod) if col_prod != 0 and cmath.isfinite(col_prod) else sum(map(cmath.log, col))
             for k in range(d_a):
-                beta0 = cmath.exp((cmath.log(col_prod) + 2j * cmath.pi * k) / d_a)
+                beta0 = cmath.exp((log_prod + 2j * cmath.pi * k) / d_a)
                 alpha = tuple(c / beta0 for c in col)
                 alpha0 = z00 / beta0
+                if alpha0 == 0:  # it underflows: this split's beta would leave the float range
+                    continue
                 beta = tuple(r / alpha0 for r in row)
                 if abs(prod(alpha) - 1.0) <= tol * 10 and abs(prod(beta) - 1.0) <= tol * 10:
                     yield alpha, beta

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import prod
 
@@ -246,9 +247,14 @@ def minor_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
 
 def _stacked_minors(m: np.ndarray, k: int) -> np.ndarray:
     """Every k-minor of m, indexed [row subset, column subset] with the subsets in lexicographic order."""
-    ri = np.array(list(combinations(range(m.shape[0]), k)), dtype=np.intp)
-    ci = np.array(list(combinations(range(m.shape[1]), k)), dtype=np.intp)
+    ri, ci = _subsets(m.shape[0], k), _subsets(m.shape[1], k)
     return np.linalg.det(m[ri[:, None, :, None], ci[None, :, None, :]])
+
+
+@cache
+def _subsets(n: int, k: int) -> np.ndarray:
+    """The k-subsets of range(n) in lexicographic order, one per row, read-only (n <= MINOR_SIZE_CAP: at most 45 arrays)."""
+    return _frozen(np.array(list(combinations(range(n), k)), dtype=np.intp))
 
 
 @dataclass(frozen=True)

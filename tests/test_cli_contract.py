@@ -9,8 +9,8 @@ with warnings turned into errors, and must keep the contract:
 - exit 2: stdout is empty and stderr is one strict-JSON error line, with no
   traceback and no warning.
 Two further rules: a file flag given "" exits 2, and `spinchain` exits 0
-exactly when its numbers are valid (finite, delta > J > 0, branch 0..3),
-with an exact report for J >= 1e-300.
+exactly when its numbers are valid (finite, delta > J, J at least the
+smallest normal double, branch 0..3), with an exact report for J >= 1e-300.
 The seeds are fixed.
 """
 
@@ -27,6 +27,7 @@ from test_cli import block_residual
 
 SEEDS = (1, 2, 3)
 CASES_PER_SEED = 12
+SMALLEST_NORMAL = 2.2250738585072014e-308  # the least J that spinchain accepts
 # The report field that decides exit 0 (true) or exit 1 (false); other subcommands always exit 0 or 2.
 VERDICT = {"holonomy": "local_operation", "cech": "reducible", "split": "reducible", "satake": "verdict"}
 EXTREMES = [
@@ -208,6 +209,25 @@ GENERATORS = {
     "split": gen_split,
     "satake": gen_satake,
 }
+# Valid spectra at extreme moduli, each with its exit code. The first has a
+# column product that underflows, so its elementary symmetric values overflow
+# (the other eigenvalues multiply to its inverse): exit 2, naming them. The
+# second reaches a predicted slot value of modulus 2e308 with finite parts.
+SATAKE_EXTREMES = {
+    (
+        "satake",
+        "--d=2,3",
+        "--eigs=9.51656370776498e-301,4.742817043238833e-301;4.728859740835711e+199,7.411168568691031e+199;"
+        "-0.2743575715635508,0.8965915994961811;1.3797377290074926e-100,1.1010998436901292e-101;"
+        "0.12438458092154564,0.6638027942211623;1.0454271122093837e+199,1.2160576965642549e+200",
+    ): 2,
+    (
+        "satake",
+        "--d=2,2",
+        "--eigs=1e-200,0.0;9.210609940028852e+53,3.894183423086505e+53;1.8532977734728338e+54,7.518559455378651e+53;"
+        "3.5355344836299075e+91,-3.535533328235471e+91",
+    ): 1,
+}
 # Fixed extremes, run alongside the generated cases.
 PINNED = [
     ["cech", "--cover", ""],
@@ -216,8 +236,9 @@ PINNED = [
     ["spinchain", "--j=1e-300", "--delta=1e300"],
     ["spinchain", "--j=5.623413251903491e-170", "--delta=1e300", "--theta-u=1.3"],
     ["spinchain", "--j=5e-324", "--delta=1.7976931348623157e308"],
+    ["spinchain", "--j=2.2250738585072014e-308", "--delta=1.7976931348623157e308"],
     ["spinchain", "--j=1.7976931348623155e308", "--delta=1.7976931348623157e308"],
-]
+] + [list(argv) for argv in SATAKE_EXTREMES]
 
 
 def strict_json(text: str):
@@ -251,7 +272,7 @@ def check_contract(capsys, argv):
     if command == "spinchain":
         flags = dict(a.split("=", 1) for a in argv[1:])
         j, delta, theta = (float(flags.get(k, default)) for k, default in (("--j", 1), ("--delta", 2), ("--theta-u", 0)))
-        valid = all(map(math.isfinite, (j, delta, theta))) and delta > j > 0 and int(flags.get("--branch", 0)) in range(4)
+        valid = all(map(math.isfinite, (j, delta, theta))) and delta > j >= SMALLEST_NORMAL and int(flags.get("--branch", 0)) in range(4)
         assert (code == 0) == valid, (argv, code, err)
         if code == 0 and j >= 1e-300:
             out = report["outputs"]
@@ -271,3 +292,12 @@ def test_generated_argvs_keep_the_cli_contract(capsys, tmp_path, command, seed):
 @pytest.mark.parametrize("argv", PINNED, ids=[" ".join(x or '""' for x in a) for a in PINNED])
 def test_pinned_extremes_keep_the_cli_contract(capsys, argv):
     check_contract(capsys, argv)
+
+
+@pytest.mark.parametrize("argv,code", SATAKE_EXTREMES.items(), ids=["column-product-underflows", "slot-modulus-overflows"])
+def test_satake_at_extreme_moduli_names_egeo_s_reason_or_gives_a_verdict(capsys, argv, code):
+    assert run(list(argv)) == code
+    out, err = capsys.readouterr()
+    assert "math domain" not in out + err and "absolute value too large" not in out + err
+    if code == 2:
+        assert "elementary symmetric values of --eigs overflow" in err

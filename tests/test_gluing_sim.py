@@ -312,6 +312,18 @@ def test_ground_state_params_validated():
         SpinChainParams(1.0, 2.0, 0.0, 4)
 
 
+@pytest.mark.parametrize("j", [5e-324, 1e-323, 1e-310, 2.225073858507201e-308])
+def test_ground_state_params_reject_a_subnormal_coupling_naming_j(j):
+    # Below the smallest normal double the hopping entries J u^(1/4) round to whole subnormal steps.
+    with pytest.raises(OutOfRange, match=r"J must be at least the smallest normal double .*got J="):
+        SpinChainParams(j, 1.0, 1.0, 0)
+
+
+def test_ground_state_at_the_smallest_normal_coupling():
+    params = SpinChainParams(2.2250738585072014e-308, 1.0, 1.0, 0)
+    assert abs(ground_state(params).coeffs[1] - 2**-0.5) < 1e-15
+
+
 def test_glue_ground_state_is_bell_at_unit_u():
     glued = glue_ground_state(SpinChainParams(1.0, 2.0, 0.0, 0))
     bell = np.array([1, 0, 0, 1]) / np.sqrt(2)

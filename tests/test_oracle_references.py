@@ -1,12 +1,21 @@
 """The brute-force oracles and the partition lattice against verbatim copies of their unshared forms.
 
 `brute_force_finest` skips partitions that its running meet already
-refines, and `d_product_oracle` computes each predicted grid value and its
-distances once per spectrum. `meet` and `refines` fold block masks into
-one label per subsystem. None may change a verdict or a witness: the
-references below are the code as it was before that sharing, with the
-set-intersection lattice operations, and every comparison is exact
-equality.
+refines and flattens each cut itself, with no `Bipartition` and no
+`flatten`. `d_product_oracle` computes each predicted grid value's
+candidate list (the eigenvalues within the match bound, nearest first)
+once per spectrum, and skips a column whose value in some row slot has no
+candidate. `meet` folds block masks into one label per subsystem, and
+`refines` reads the block labels of q. `minor_rank` takes its subset
+indices from a cached read-only table, and `monomial_quotient_dim`
+eliminates over sparse rows. None may change a verdict, a witness or a
+dimension: the references below are the code as it was before, with the
+set-intersection lattice operations, the value pool, the `Bipartition`
+flattenings, the uncached subsets and the dense `Fraction` rows, and every
+comparison is exact equality. At extreme moduli the slot search is held
+to its reference wherever every column product stays finite and nonzero;
+elsewhere the log of a column product is the sum of the logs, which the
+reference could not take.
 
 The constructions written once and shared are held to their former
 separate formulas the same way, bit for bit: `cofactor_matrix` (minor by
@@ -18,6 +27,7 @@ to the SVD forms they had before, near the tolerance and at every scale.
 """
 
 import cmath
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
 
@@ -25,6 +35,7 @@ import numpy as np
 import pytest
 
 from egeo import (
+    Bipartition,
     LocalSpectra,
     Partition,
     PureState,
@@ -40,6 +51,7 @@ from egeo import (
     loop_holonomy,
     make_state,
     meet,
+    minor_rank,
     numerical_rank,
     rank_2x2x2,
     refines,
@@ -49,9 +61,9 @@ from egeo import (
     w_state,
 )
 from egeo import oracles, spectral_satake, tensor_core
-from egeo.oracles import _leading_factors, brute_force_finest, random_block_product, set_partitions
+from egeo.oracles import _leading_factors, brute_force_finest, monomial_quotient_dim, random_block_product, set_partitions
 from egeo.separability import _labelled, _meet_labels
-from egeo.spectral_satake import SPECTRAL_TOL, _bipartite_splits, _relations_22
+from egeo.spectral_satake import SPECTRAL_TOL, _bipartite_splits, _greedy_match, _match_entry, _relations_22
 from egeo.separability import PENCIL_TOL
 from egeo.tensor_core import CERTIFY_MIN_TOL, DEFAULT_RANK_TOL, unit_max_modulus
 
@@ -659,3 +671,226 @@ def test_rank_2x2x2_matches_the_svd_reference_rank_for_rank():
         product_cuts[sum(numerical_rank(flatten(state, cut), tol) == 1 for cut in bipartitions(3))] += 1
     assert sum(counts.values()) >= 2000 and min(counts.values()) >= 100, counts
     assert min(product_cuts) >= 20, product_cuts  # every count of product cuts, 2 included
+
+
+# ------------------------------------------------------------- the oracles' round trips
+# The direct flattenings of `brute_force_finest`, the cached subsets of
+# `minor_rank` and the sparse elimination of `monomial_quotient_dim`,
+# against the forms they replaced, verbatim.
+
+
+def reference_leading_factors(state):
+    n = state.n_subsystems
+    factors = {}
+
+    def factor(block):
+        if block not in factors:
+            cut = Bipartition(n, block)
+            u, _, vh = np.linalg.svd(flatten(state, cut), full_matrices=False)
+            factors[cut.block_a], factors[cut.block_b] = u[:, 0], vh[0, :]
+        return factors[block]
+
+    return factor
+
+
+def test_leading_factors_match_the_bipartition_flatten_reference_bit_for_bit():
+    rng = np.random.default_rng(193)
+    for trial, (st, _, _) in enumerate(planted_states(rng, 80)):
+        st = make_state(st.dims, st.coeffs * (1e-300, 1.0, 1e250)[trial % 3])
+        n = st.n_subsystems
+        got, want = _leading_factors(st), reference_leading_factors(st)
+        blocks = [block for size in range(1, n) for block in combinations(range(n), size)]
+        for block in blocks[trial % 2 :] + blocks[: trial % 2]:  # either side of a cut may come first
+            g, w = got(block), want(block)
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), (st.dims, block)
+
+
+def reference_monomial_quotient_dim(t):
+    def monomials(deg):
+        return [
+            (i, j, k, deg - i - j - k)
+            for i in range(deg + 1)
+            for j in range(deg + 1 - i)
+            for k in range(deg + 1 - i - j)
+        ]
+
+    target = monomials(t)
+    if t < 2:
+        return len(target)
+    source = monomials(t - 2)
+    index = {m: i for i, m in enumerate(target)}
+    rows = []
+    for m in source:
+        row = [Fraction(0)] * len(target)
+        up = (m[0] + 1, m[1], m[2], m[3] + 1)  # * ad
+        dn = (m[0], m[1] + 1, m[2] + 1, m[3])  # * bc
+        row[index[up]] += 1
+        row[index[dn]] -= 1
+        rows.append(row)
+    # exact Gaussian elimination
+    rank, lead = 0, 0
+    for col in range(len(target)):
+        piv = next((r for r in range(lead, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[lead], rows[piv] = rows[piv], rows[lead]
+        for r in range(len(rows)):
+            if r != lead and rows[r][col] != 0:
+                f = rows[r][col] / rows[lead][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[lead])]
+        lead += 1
+        rank += 1
+        if lead == len(rows):
+            break
+    return len(target) - rank
+
+
+def test_monomial_quotient_dim_matches_the_dense_fraction_reference():
+    for t in range(13):
+        assert monomial_quotient_dim(t) == reference_monomial_quotient_dim(t) == (t + 1) ** 2, t
+
+
+def reference_stacked_minors(m, k):
+    ri = np.array(list(combinations(range(m.shape[0]), k)), dtype=np.intp)
+    ci = np.array(list(combinations(range(m.shape[1]), k)), dtype=np.intp)
+    return np.linalg.det(m[ri[:, None, :, None], ci[None, :, None, :]])
+
+
+def test_stacked_minors_match_the_uncached_enumeration_bit_for_bit():
+    rng = np.random.default_rng(197)
+    for rows in range(1, 9):
+        for cols in range(1, 9):
+            m = complex_normal(rng, (rows, cols)) * 10.0 ** float(rng.uniform(-30, 30))
+            for k in range(0, min(rows, cols) + 1):
+                got, want = tensor_core._stacked_minors(m, k), reference_stacked_minors(m, k)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), (rows, cols, k)
+
+
+def test_cached_subset_tables_are_read_only_and_shared():
+    table = tensor_core._subsets(6, 3)
+    assert table is tensor_core._subsets(6, 3) and table.shape == (20, 3)
+    with pytest.raises(ValueError):
+        table[0, 0] = 5
+    rng = np.random.default_rng(199)
+    m = complex_normal(rng, (6, 2)) @ complex_normal(rng, (2, 6))
+    assert minor_rank(m) == numerical_rank(m) == 2
+    assert tensor_core._subsets(6, 3).tolist() == [list(c) for c in combinations(range(6), 3)]
+
+
+EXTREME_TYPES = ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (2, 2, 2))
+
+
+def extreme_spectra(rng, count):
+    """(type, spectrum): products of local spectra, products with one eigenvalue moved by 1e-5, and
+    generic spectra, with moduli spread over 10^+-(5 .. 200); spectra SpectralClass rejects are left out."""
+    for trial in range(count):
+        dims = EXTREME_TYPES[trial % len(EXTREME_TYPES)]
+        top = (5, 50, 100, 150, 200)[trial // len(EXTREME_TYPES) % 5]
+        kind = trial // (5 * len(EXTREME_TYPES)) % 3
+
+        def draw(k):
+            return [cmath.rect(10.0 ** rng.uniform(-top, top), rng.uniform(-np.pi, np.pi)) for _ in range(k)]
+
+        if kind < 2:
+            zs = [1.0]
+            for factor in map(draw, dims):
+                zs = [v * a for v in zs for a in factor]
+            if kind == 1:
+                zs[int(rng.integers(len(zs)))] *= 1 + 1e-5
+        else:
+            zs = draw(prod(dims))
+        try:
+            yield dims, SpectralClass(tuple(zs))
+        except ValueError:  # a zero, non-finite or overflowing eigenvalue or product
+            continue
+
+
+def column_products_stay_finite(zs, d_a, d_b):
+    rest = range(1, len(zs))
+    for row_idx in combinations(rest, d_b - 1):
+        for col_idx in combinations([k for k in rest if k not in row_idx], d_a - 1):
+            p = prod([zs[0]] + [zs[k] for k in col_idx])
+            if p == 0 or not cmath.isfinite(p):
+                return False
+    return True
+
+
+def test_bipartite_splits_match_the_reference_at_extreme_moduli():
+    # The predicted values zs[a] zs[b] / zs[0] overflow to inf or nan parts on many of these
+    # spectra; the reference accepts such a value as a match, and so must the candidate lists.
+    rng = np.random.default_rng(211)
+    compared = non_finite_cells = splits = 0
+    for dims, s in extreme_spectra(rng, 1500):
+        zs, d_a, d_b = s.eigenvalues, dims[0], prod(dims[1:])
+        if not column_products_stay_finite(zs, d_a, d_b):
+            continue
+        try:
+            want = list(reference_bipartite_splits(zs, d_a, d_b, SPECTRAL_TOL))
+        except OverflowError:  # the reference's abs of a modulus past the float range with finite parts
+            continue
+        assert list(_bipartite_splits(zs, d_a, d_b, SPECTRAL_TOL)) == want
+        compared += 1
+        splits += bool(want)
+        non_finite_cells += any(not cmath.isfinite(zs[a] * zs[b] / zs[0]) for a in range(1, len(zs)) for b in range(1, len(zs)))
+    assert compared > 700 and splits > 100 and non_finite_cells > 30, (compared, splits, non_finite_cells)
+
+
+def test_greedy_match_takes_a_non_finite_value_like_the_value_pool():
+    # A value with an inf part lies at distance inf from every eigenvalue, within its inf bound;
+    # one with nan parts and no inf compares with nothing. The value pool lets either take the
+    # first eigenvalue left, and so must the candidate lists.
+    rng = np.random.default_rng(227)
+    inf, nan = float("inf"), float("nan")
+    specials = (complex(inf, 0), complex(-inf, 1), complex(inf, nan), complex(nan, 0), complex(nan, nan), complex(1, nan))
+    matched = 0
+    for trial in range(600):
+        n = 4 + trial % 5
+        zs = [cmath.exp(complex(*rng.normal(size=2))) for _ in range(n)]
+        values = [zs[k] * (1 + 1e-9 * (trial % 3)) for k in rng.permutation(n)]
+        for k in rng.choice(n, size=1 + trial % 3, replace=False):
+            values[k] = specials[int(rng.integers(len(specials)))]
+        for tol in (1e-12, SPECTRAL_TOL, 1e-4):
+            got = _greedy_match((_match_entry(c, zs, tol) for c in values), list(range(n)))
+            assert got == reference_match_multiset(values, zs, max(tol, 1e-7)), (values, tol)
+            matched += got
+    assert 300 < matched < 1800, matched
+
+
+def spectrum_matches(witness, s):
+    """The slotwise products of the witness, unnormalized (their running product may under- or overflow), match s."""
+    values = [1.0]
+    for factor in witness.factors:
+        values = [v * a for v in values for a in factor]
+    return reference_match_multiset(values, s.eigenvalues, 1e-6)
+
+
+def test_d_product_oracle_takes_the_log_of_a_column_product_that_under_or_overflows():
+    # The reference raises ValueError (math domain error) from cmath.log(0) on an underflowed
+    # product, and drops the split of an overflowed one; the sum of the logs gives the same roots.
+    # One split here has a factor entry that underflows to 0, and must be passed over.
+    rng = np.random.default_rng(211)
+    witnessed = 0
+    for dims, s in extreme_spectra(rng, 3000):
+        if column_products_stay_finite(s.eigenvalues, dims[0], prod(dims[1:])):
+            continue
+        got = d_product_oracle(s, dims)
+        if got is not None:
+            assert spectrum_matches(got, s), dims
+            witnessed += 1
+    assert witnessed >= 10, witnessed
+
+
+def test_slot_search_compares_a_value_whose_modulus_overflows_at_quarter_scale():
+    # (x y, x/y, y/x, 1/(x y)) with |1/(x y^3)| = 2e308: the split is found at column 2 of
+    # row 1, and the column scan also reads cell (3, 1), whose modulus overflows with finite parts.
+    x, y = cmath.rect(1e-100, 0.1), cmath.rect((5e-309 / 1e-100) ** (1 / 3), 0.3)
+    s = SpectralClass((x * y, x / y, y / x, 1 / (x * y)))
+    assert not cmath.isfinite(abs(s.eigenvalues[3]) * abs(s.eigenvalues[1]) / abs(s.eigenvalues[0]))
+    got = d_product_oracle(s, (2, 2))
+    assert got is not None and got == reference_d_product_oracle(s, (2, 2))
+    # Here the first value the match reads, zs[2] zs[1] / zs[0], has modulus 2e308: the reference raises.
+    zs = (1e-200, cmath.rect(1e54, 0.4), cmath.rect(2e54, 0.385398))
+    s = SpectralClass(zs + (1 / prod(zs),))
+    with pytest.raises(OverflowError):
+        reference_d_product_oracle(s, (2, 2))
+    assert d_product_oracle(s, (2, 2)) is None
