@@ -216,18 +216,17 @@ def cmd_rank222(args) -> tuple[dict, dict, int]:
 
 def cmd_holonomy(args) -> tuple[dict, dict, int]:
     from .gluing_sim import apply_holonomy, is_local_operator, loop_holonomy
-    from .tensor_core import Bipartition, flatten, make_state, numerical_rank
+    from .tensor_core import make_state, numerical_rank
 
     hol = loop_holonomy(args.p, args.loop)
     local = is_local_operator(hol, args.p, args.p, args.tol)
     demo = make_state([args.p, args.p], [1 if (a, b) in ((0, 0), (1, 0)) else 0 for a in range(args.p) for b in range(args.p)])
     image = apply_holonomy(hol, demo)
-    cut = Bipartition(2, (0,))
     outputs = {
         "holonomy": hol,
         "local_operation": local,
-        "schmidt_rank_before": numerical_rank(flatten(demo, cut), args.tol),
-        "schmidt_rank_after": numerical_rank(flatten(image, cut), args.tol),
+        "schmidt_rank_before": numerical_rank(demo.tensor(), args.tol),
+        "schmidt_rank_after": numerical_rank(image.tensor(), args.tol),
     }
     inputs = {"p": args.p, "loop": args.loop}
     return inputs, outputs, 0 if local else 1
@@ -237,21 +236,20 @@ def cmd_spinchain(args) -> tuple[dict, dict, int]:
     import numpy as np
 
     from .gluing_sim import SpinChainParams, glue_ground_state, ground_state, spin_hamiltonian, to_qudit_pair
-    from .tensor_core import Bipartition, flatten, numerical_rank
+    from .tensor_core import numerical_rank
 
     params = SpinChainParams(args.j, args.delta, args.theta_u, args.branch)
     h = spin_hamiltonian(params)
     gs = ground_state(params)
     glued = glue_ground_state(params)
-    cut = Bipartition(2, (0,))
     outputs = {
         "hamiltonian": h,
         # the hopping block's eigenvalues and the penalty diagonal: each exact at every scale
         "spectrum": sorted([*np.linalg.eigvalsh(h[:2, :2]), params.delta, params.delta]),
         "ground_state": gs.coeffs,
         "glued_state": glued.coeffs,
-        "schmidt_rank_before": numerical_rank(flatten(to_qudit_pair(gs, 2), cut)),
-        "schmidt_rank_after": numerical_rank(flatten(glued, cut)),
+        "schmidt_rank_before": numerical_rank(to_qudit_pair(gs, 2).tensor()),
+        "schmidt_rank_after": numerical_rank(glued.tensor()),
     }
     inputs = {"theta_u": args.theta_u, "j": args.j, "delta": args.delta, "branch": args.branch}
     return inputs, outputs, 0
@@ -383,8 +381,15 @@ def cmd_repro(args) -> tuple[dict, dict, int]:
 # ------------------------------------------------------------ wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error raises EgeoError, so `run` reports it as one JSON line; subparsers inherit the class."""
+
+    def error(self, message):
+        raise EgeoError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="egeo",
         description=(
             "Entanglement geometry toolkit. Every subcommand prints a JSON report on stdout; "
@@ -463,10 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    tol = getattr(args, "tol", DEFAULT_RANK_TOL)
+    args = None  # a usage error leaves it unset: "command" is null
     try:
+        args = build_parser().parse_args(argv)
+        tol = getattr(args, "tol", DEFAULT_RANK_TOL)
         if not 0 < tol < 1:
             raise OutOfRange(f"--tol must lie in (0, 1), got {tol}")
         inputs, outputs, code = args.handler(args)
@@ -486,7 +491,7 @@ def run(argv=None) -> int:
     else:
         print(text)
         return code
-    print(json.dumps({"command": args.command, "error": str(error), "version": __version__}), file=sys.stderr)
+    print(json.dumps({"command": getattr(args, "command", None), "error": str(error), "version": __version__}), file=sys.stderr)
     return 2
 
 

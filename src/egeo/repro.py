@@ -191,7 +191,6 @@ def check_numerology(rng) -> tuple[bool, str]:
 
 def check_spin_chain(rng) -> tuple[bool, str]:
     problems = []
-    cut = Bipartition(2, (0,))
     for i in range(20):
         params = SpinChainParams(
             j_coupling=1.0 + 0.5 * float(rng.random()),
@@ -205,9 +204,9 @@ def check_spin_chain(rng) -> tuple[bool, str]:
             problems.append(f"spectrum off at sample {i}")
         pre = to_qudit_pair(ground_state(params), 2)
         post = glue_ground_state(params)
-        if numerical_rank(flatten(pre, cut)) != 1:
+        if numerical_rank(pre.tensor()) != 1:
             problems.append(f"pre-gluing rank != 1 at sample {i}")
-        if numerical_rank(flatten(post, cut)) != 2:
+        if numerical_rank(post.tensor()) != 2:
             problems.append(f"post-gluing rank != 2 at sample {i}")
     glued = glue_ground_state(SpinChainParams(1.0, 2.0, 0.0, 0))
     bell_overlap = abs(np.vdot(_bell().coeffs, glued.normalized().coeffs))
@@ -230,7 +229,7 @@ def check_holonomy(rng) -> tuple[bool, str]:
         problems.append("X^-1 wrongly judged local")
     product = make_state([2, 2], [1, 0, 1, 0])
     image = apply_holonomy(w4.x_inv, product)
-    if numerical_rank(flatten(image, Bipartition(2, (0,)))) != 2:
+    if numerical_rank(image.tensor()) != 2:
         problems.append("holonomy image of product state not rank 2")
     return not problems, "; ".join(problems) if problems else "Weyl relations, commutator, locality, entangling demo all good"
 

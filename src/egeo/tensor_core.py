@@ -133,11 +133,15 @@ def flatten(state: PureState, cut: Bipartition) -> np.ndarray:
     """
     if cut.n_subsystems != state.n_subsystems:
         raise ShapeMismatch(f"cut is over {cut.n_subsystems} subsystems, state has {state.n_subsystems}")
-    a, b = cut.block_a, cut.block_b
-    d_a = prod(state.dims[i] for i in a)
-    d_b = prod(state.dims[i] for i in b)
-    m = state.tensor().transpose(a + b).reshape(d_a, d_b)
-    return _frozen(m)
+    return _frozen(_flattening(state.tensor(), sum(1 << i for i in cut.block_a)))
+
+
+def _flattening(t: np.ndarray, mask: int) -> np.ndarray:
+    """The D_A x D_B flattening of the n-axis array t along a cut (bit i: axis i in
+    block A), the side holding axis 0 as rows, both sides in axis order."""
+    a = [i for i in range(t.ndim) if mask >> i & 1 == mask & 1]
+    b = [i for i in range(t.ndim) if mask >> i & 1 != mask & 1]
+    return t.transpose(a + b).reshape(prod(t.shape[i] for i in a), -1)
 
 
 def unit_max_modulus(a: np.ndarray) -> np.ndarray:
@@ -189,7 +193,7 @@ def _rank_one_test(t: np.ndarray, tol: float) -> Callable[[int], bool]:
     them proves sigma_2 <= tol/2 sigma_1: rank 1.  The factor-2 band keeps
     each certified verdict equal to the SVD's, which decides between the
     bounds, below CERTIFY_MIN_TOL and for a zero t (rank 0 on every cut),
-    on the flattening `flatten` would give: the side holding axis 0 first.
+    on `_flattening`, the matrix `flatten` gives: the side holding axis 0 first.
     The reject test runs first; the two cannot both pass, as the pivot row
     and column are slices of T, so an accepted cut has ||R||_max <= ||R||_F
     <= tol/2 ||T||_F, a factor 8 below the reject bound.  R is formed on
@@ -218,9 +222,7 @@ def _rank_one_test(t: np.ndarray, tol: float) -> Callable[[int], bool]:
                 return False
             if np.vdot(r, r).real <= (0.5 * tol) ** 2 * max(np.vdot(col, col).real, np.vdot(row, row).real):
                 return True
-        a = [i for i in range(n) if mask >> i & 1 == mask & 1]
-        b = [i for i in range(n) if mask >> i & 1 != mask & 1]
-        return numerical_rank(t.transpose(a + b).reshape(prod(t.shape[i] for i in a), -1), tol) == 1
+        return numerical_rank(_flattening(t, mask), tol) == 1
 
     return rank_one
 

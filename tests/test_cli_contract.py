@@ -8,10 +8,11 @@ with warnings turned into errors, and must keep the contract:
 - exit 1: the report holds a negative verdict, and exit 0 a positive one;
 - exit 2: stdout is empty and stderr is one strict-JSON error line, with no
   traceback and no warning.
-Two further rules: a file flag given "" exits 2, and `spinchain` exits 0
-exactly when its numbers are valid (finite, delta > J, J at least the
-smallest normal double, branch 0..3), with an exact report for J >= 1e-300.
-The seeds are fixed.
+A usage error that argparse finds keeps the exit-2 rule with "command"
+null, since argv did not parse. Two further rules: a file flag given ""
+exits 2, and `spinchain` exits 0 exactly when its numbers are valid
+(finite, delta > J, J at least the smallest normal double, branch 0..3),
+with an exact report for J >= 1e-300. The seeds are fixed.
 """
 
 import json
@@ -292,6 +293,26 @@ def test_generated_argvs_keep_the_cli_contract(capsys, tmp_path, command, seed):
 @pytest.mark.parametrize("argv", PINNED, ids=[" ".join(x or '""' for x in a) for a in PINNED])
 def test_pinned_extremes_keep_the_cli_contract(capsys, argv):
     check_contract(capsys, argv)
+
+
+# argparse's own usage errors: one JSON line with "command" null (argv did not parse), the message led by the
+# name of the parser that rejected argv.
+USAGE_ERRORS = {
+    ("separability",): "egeo separability: the following arguments are required: --state",
+    ("separability", "--state", "state.json", "--tol", "abc"): "egeo separability: argument --tol: invalid float value: 'abc'",
+    ("invariants", "--da", "2", "--db", "2", "--tmax", "1e3"): "egeo invariants: argument --tmax: invalid int value: '1e3'",
+    ("no-such-command",): "egeo: argument command: invalid choice: 'no-such-command'",
+}
+
+
+@pytest.mark.parametrize("argv,message", USAGE_ERRORS.items(), ids=[" ".join(argv) for argv in USAGE_ERRORS])
+def test_a_usage_error_is_one_json_line(capsys, argv, message):
+    assert run(list(argv)) == 2
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    error = strict_json(line)
+    assert out == "" and set(error) == {"command", "error", "version"} and error["command"] is None
+    assert error["error"].startswith(message), error
 
 
 @pytest.mark.parametrize("argv,code", SATAKE_EXTREMES.items(), ids=["column-product-underflows", "slot-modulus-overflows"])

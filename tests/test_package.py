@@ -99,13 +99,19 @@ def test_each_subcommand_loads_only_its_modules(tmp_path, argv):
     assert loaded.strip() == f"{modules} {numpy}"
 
 
-def _imports(tree):
-    """(module and imported names, enclosing function or None) of each import statement."""
+def _enclosing(tree) -> dict:
+    """The name of each node's enclosing function; nodes outside every function are absent."""
     where = {}
     for func in ast.walk(tree):
         if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(func):
                 where[node] = func.name  # walk order: an inner function overrides its outer one
+    return where
+
+
+def _imports(tree):
+    """(module and imported names, enclosing function or None) of each import statement."""
+    where = _enclosing(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = {part for alias in node.names for part in alias.name.split(".")}
@@ -145,6 +151,19 @@ def test_rank_geometry_is_exact_numerology_that_loads_no_numpy():
     for path in src.glob("*.py"):
         importers |= {(path.stem, f) for names, f in _imports(ast.parse(path.read_text(encoding="utf-8"))) if "rank_geometry" in names}
     assert importers == {("cli", "cmd_invariants"), ("repro", None)}
+
+
+def test_one_flattening_transpose_in_tensor_core_and_one_in_separability():
+    # `flatten` and the rank-1 test's SVD fallback share tensor_core._flattening. The stack fill in
+    # flattening_lower_bound keeps its own transpose: it writes each flattening once through the
+    # destination's n-axis view; a `_flattening` copy plus `.T` made the bound 1.13x slower on rank-profile.
+    # oracles is exempt: its flattening stays independent of the code it checks.
+    src = Path(egeo.__file__).parent
+    for module, function in (("tensor_core", "_flattening"), ("separability", "flattening_lower_bound")):
+        tree = ast.parse((src / f"{module}.py").read_text(encoding="utf-8"))
+        where = _enclosing(tree)
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+        assert [where.get(node) for node in calls if node.func.attr == "transpose"] == [function], module
 
 
 def test_references_that_only_tests_call_live_in_the_tests():

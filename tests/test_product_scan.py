@@ -180,13 +180,18 @@ def test_clear_operator_and_2x2x2_verdicts_need_no_svd(monkeypatch):
     assert not is_local_operator(weyl_ops(4).x_inv, 2, 2)
     assert is_local_operator(np.kron(a, b), 2, 2)
     assert rank_2x2x2(generic) in (2, 3) and rank_2x2x2(w_state()) == 3
+    # Block {1} does not hold subsystem 0, yet its flattening keeps subsystem 0's side {0, 2} as rows.
+    product, blocks = make_state([2, 3, 4], np.kron(np.kron([1, 2], [1, -1, 3]), [2, 0, 1, 5])), Partition(3, ((0, 2), (1,)))
+    assert is_pi_product(product, blocks)
     assert calls == []
-    # Below the certified tolerance the SVD decides: two cuts for the shift, one for the product, three for W.
+    # Below the certified tolerance the SVD decides: two cuts for the shift, one for the product, three for W,
+    # and both blocks of the 2x3x4 product, each as the 8 x 3 flattening.
     tol = separability.CERTIFY_MIN_TOL / 10
     assert not is_local_operator(weyl_ops(4).x_inv, 2, 2, tol)
     assert is_local_operator(np.kron(a, b), 2, 2, tol)
     assert rank_2x2x2(w_state(), tol) == 3
-    assert [m.shape for m in calls] == [(4, 4)] * 3 + [(2, 4), (4, 2), (4, 2)]
+    assert is_pi_product(product, blocks, tol)
+    assert [m.shape for m in calls] == [(4, 4)] * 3 + [(2, 4), (4, 2), (4, 2)] + [(8, 3), (8, 3)]
 
 
 def test_a_rejected_cut_pays_for_no_accept_test(monkeypatch):
