@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gluing_sim import PROJ_TOL, _scalar_value, det_normalize, is_local_operator, proj_equal, weyl_ops
 from .modular import smith_normal_form
-from .tensor_core import DEFAULT_RANK_TOL, _frozen
+from .tensor_core import DEFAULT_RANK_TOL, _frozen, numerical_rank, unit_max_modulus
 
 ROOT_ORDER_CAP = 64
 
@@ -42,11 +42,14 @@ class CechCover:
 
     chart_count: int
     n: int
-    pairs: tuple[tuple[int, int], ...]
     transitions: dict
     triples: tuple[tuple[int, int, int], ...]
     quadruples: tuple[tuple[int, int, int, int], ...]
     m: int | None = None
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self.transitions)
 
     def lift(self, i: int, j: int) -> np.ndarray:
         if i == j:
@@ -59,37 +62,35 @@ class CechCover:
 
 
 def make_cover(n: int, pairs_with_lifts, triples=(), quadruples=(), m: int | None = None, chart_count: int | None = None) -> CechCover:
-    """Assemble a cover; chart_count defaults to 1 + the largest index seen."""
+    """Assemble a cover and check it (validate_nerve); chart_count defaults to 1 + the largest index seen."""
     if n < 1:
         raise ShapeMismatch(f"lifts must be n x n with n >= 1, got n={n}")
     transitions = {}
-    pairs = []
     for i, j, lift in pairs_with_lifts:
         if i == j or (i, j) in transitions:
             raise BadNerve(f"pair ({i}, {j}) joins a chart to itself" if i == j else f"pair ({i}, {j}) is listed twice")
-        lift = np.asarray(lift, dtype=complex)
+        try:
+            lift = np.asarray(lift, dtype=complex)
+        except ValueError:  # ragged rows
+            raise ShapeMismatch(f"lift for pair ({i}, {j}) is not a ({n}, {n}) array of numbers") from None
         if lift.shape != (n, n):
             raise ShapeMismatch(f"lift for pair ({i}, {j}) has shape {lift.shape}, expected ({n}, {n})")
         if not np.isfinite(lift).all():
             raise NonFinite(f"lift for pair ({i}, {j}) has a non-finite entry")
+        rank = numerical_rank(unit_max_modulus(lift))  # a lift counts up to scale, and an SVD of subnormals does not
+        if rank < n:
+            raise BadNerve(f"lift for pair ({i}, {j}) is singular: numerical rank {rank} < n = {n}")
         transitions[(i, j)] = _frozen(lift)
-        pairs.append((i, j))
-    indices = [i for p in pairs for i in p] + [i for t in triples for i in t] + [0]
+    indices = [i for p in transitions for i in p] + [i for t in triples for i in t] + [0]
     count = chart_count if chart_count is not None else max(indices) + 1
     listed = indices + [i for q in quadruples for i in q]
     if min(listed) < 0 or max(listed) >= count:
         raise OutOfRange(f"chart indices must lie in 0..{count - 1}, got {min(listed)}..{max(listed)}")
     if m is not None and m < 1:
         raise OutOfRange(f"the cocycle modulus must be >= 1, got m={m}")
-    return CechCover(
-        count,
-        n,
-        tuple(pairs),
-        transitions,
-        tuple(tuple(t) for t in triples),
-        tuple(tuple(q) for q in quadruples),
-        m,
-    )
+    cover = CechCover(count, n, transitions, tuple(tuple(t) for t in triples), tuple(tuple(q) for q in quadruples), m)
+    validate_nerve(cover)
+    return cover
 
 
 def _canonical_pairs(cover: CechCover) -> list[tuple[int, int]]:
@@ -207,7 +208,7 @@ def class_order(c: Cocycle2, cover: CechCover) -> int:
     if not is_2cocycle(c, cover):
         raise NotCocycle("exponent cochain fails the 2-cocycle identity")
     matrix, pairs = _coboundary_matrix(cover)
-    s, u, _ = smith_normal_form(matrix)
+    s, u = smith_normal_form(matrix)
     rhs = [c.values[tr] for tr in cover.triples]
     t = [sum(x * y for x, y in zip(row, rhs)) % c.m for row in u]
     g = [gcd(s[i][i] if i < len(pairs) else 0, c.m) for i in range(len(u))]

@@ -264,7 +264,7 @@ def _square_split(n: int) -> tuple[int, int]:
 
 
 def cmd_cech(args) -> tuple[dict, dict, int]:
-    from .cech_brauer import check_reduction, class_order, is_2cocycle, pgl_cocycle_defect, symbol_cover, validate_nerve
+    from .cech_brauer import check_reduction, class_order, is_2cocycle, pgl_cocycle_defect, symbol_cover
 
     if args.cover is not None:
         if args.p is not None:
@@ -278,7 +278,6 @@ def cmd_cech(args) -> tuple[dict, dict, int]:
         inputs = {"p": p, "da": args.da, "db": args.db}
     if any(d is not None and d < 2 for d in (args.da, args.db)):
         raise OutOfRange(f"--da and --db must be >= 2, got {args.da}, {args.db}")
-    validate_nerve(cover)
     defect = pgl_cocycle_defect(cover)
     d_a, d_b = args.da, args.db
     if d_a is None and d_b is None:
@@ -364,8 +363,6 @@ def cmd_repro(args) -> tuple[dict, dict, int]:
         raise OutOfRange(f"--seed must be >= 0, got {seed}")
     names = args.only.split(",") if args.only is not None else None
     results = run_battery(seed=seed, names=names)
-    if not results:
-        raise EgeoError(f"no checks match {args.only!r}")
     width = max(len(r.name) for r in results)
     for r in results:
         line = f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.elapsed * 1e3:8.1f} ms  {r.detail}"
@@ -386,6 +383,12 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise EgeoError(f"{self.prog}: {message}")
+
+    def _get_values(self, action, arg_strings):
+        # argparse drops the value "--" (as in --tol=--) and would store [] for a one-value flag
+        if arg_strings == ["--"] and action.nargs is None:
+            self.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+        return super()._get_values(action, arg_strings)
 
 
 def build_parser() -> argparse.ArgumentParser:

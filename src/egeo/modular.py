@@ -7,19 +7,15 @@ without any floating point.
 from __future__ import annotations
 
 
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Return (s, u) with u @ matrix @ v = s for some unimodular v, u unimodular, s diagonal.
 
-
-def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Return (s, u, v) with u @ matrix @ v = s, u and v unimodular, s diagonal.
-
-    Diagonal entries are nonnegative with s[i] | s[i+1].
+    Diagonal entries are nonnegative with s[i] | s[i+1]. The column
+    transform v is not built: reading a class over Z/m needs only u.
     """
     a = [[int(x) for x in row] for row in matrix]
     rows, cols = len(a), len(a[0]) if a else 0
-    u = _identity(rows)
-    v = _identity(cols)
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
 
     def row_combine(i, j, q):  # row i -= q * row j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
@@ -28,8 +24,6 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
     def col_combine(i, j, q):  # col i -= q * col j
         for r in range(rows):
             a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
@@ -38,8 +32,6 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
     def col_swap(i, j):
         for r in range(rows):
             a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
 
     t = 0
     while t < min(rows, cols):
@@ -81,4 +73,4 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]], list[li
         if folded:
             continue
         t += 1
-    return a, u, v
+    return a, u

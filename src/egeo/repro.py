@@ -24,8 +24,8 @@ from .cech_brauer import (
     is_2cocycle,
     pgl_cocycle_defect,
     symbol_cover,
-    validate_nerve,
 )
+from .errors import OutOfRange
 from .gluing_sim import (
     SpinChainParams,
     apply_holonomy,
@@ -237,7 +237,6 @@ def check_holonomy(rng) -> tuple[bool, str]:
 def check_cech(rng) -> tuple[bool, str]:
     problems = []
     cover = symbol_cover(2)
-    validate_nerve(cover)
     defect = pgl_cocycle_defect(cover)
     if defect.m != 4:
         problems.append(f"defect modulus {defect.m} != 4")
@@ -392,6 +391,11 @@ BUDGETS = {"degree-hilbert-crosschecks": 1.0, "cech-obstruction": 1.0, "splittin
 
 
 def run_battery(seed: int = DEFAULT_SEED, names: list[str] | None = None) -> list[CheckResult]:
+    """Run the named checks (every check when names is empty or None) in CHECKS order; an unknown name is OutOfRange."""
+    checks = dict(CHECKS)
+    unknown = [name for name in names or () if name not in checks]
+    if unknown:
+        raise OutOfRange(f"unknown check names {', '.join(map(repr, unknown))}; the checks are {', '.join(checks)}")
     results = []
     for name, fn in CHECKS:
         if names and name not in names:

@@ -1,6 +1,6 @@
 import cmath
 import dataclasses
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -28,25 +28,45 @@ from egeo.modular import smith_normal_form
 from egeo.tensor_core import _frozen
 
 
-# Explicit Z/m solves: the oracle the Smith-form class order is checked against.
+# Explicit Z/m solves: the oracle the Smith-form class order is checked against. It runs no Smith form:
+# A x = b (mod m) is A x + m y = b over Z, decided exactly by an integer column echelon form of [A | m I].
+def _egcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s a + t b = g = gcd(a, b) >= 0."""
+    if b == 0:
+        return abs(a), (1 if a >= 0 else -1), 0
+    g, s, t = _egcd(b, a % b)
+    return g, t, s - (a // b) * t
+
+
 def solve_mod(matrix, rhs, mod: int) -> list[int] | None:
     """One solution x of matrix @ x = rhs (mod mod), or None if unsolvable."""
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
     if rows == 0:
         return [0] * cols
-    s, u, v = smith_normal_form(matrix)
-    t = [sum(u[i][k] * int(rhs[k]) for k in range(rows)) % mod for i in range(rows)]
-    y = [0] * cols
-    for i in range(rows):
-        d = s[i][i] if i < cols else 0
-        g = gcd(d, mod)
-        if t[i] % g != 0:
+    width = cols + rows
+    # Columns of M = [A | mod I], each beside its column of the unimodular W with M_start W = M (W starts as I).
+    m = [[int(matrix[r][k]) for r in range(rows)] for k in range(cols)] + [[mod * (r == k) for r in range(rows)] for k in range(rows)]
+    w = [[int(i == k) for i in range(width)] for k in range(width)]
+    # mod I has full row rank, so row r gets its pivot in column r; extended-gcd steps clear the row to its right.
+    for r in range(rows):
+        for k in range(r + 1, width):
+            if m[k][r] != 0:
+                a, b = m[r][r], m[k][r]
+                g, x, y = _egcd(a, b)  # [[x, -b/g], [y, a/g]] has determinant 1
+                for table in (m, w):
+                    table[r], table[k] = (
+                        [x * p + y * q for p, q in zip(table[r], table[k])],
+                        [(a // g) * q - (b // g) * p for p, q in zip(table[r], table[k])],
+                    )
+    # Lower-triangular L = M W with a nonzero diagonal: L z = b has one rational solution, and M (W z) = b.
+    z = []
+    for r in range(rows):
+        rest = int(rhs[r]) - sum(m[k][r] * z[k] for k in range(r))
+        if rest % m[r][r] != 0:
             return None
-        if i < cols and d % mod != 0:
-            mg = mod // g
-            y[i] = ((t[i] // g) * pow((d // g) % mg, -1, mg)) % mod if mg > 1 else 0
-    return [sum(v[i][k] * y[k] for k in range(cols)) % mod for i in range(cols)]
+        z.append(rest // m[r][r])
+    return [sum(w[k][i] * z[k] for k in range(rows)) % mod for i in range(cols)]
 
 
 def coboundary_witness(c: Cocycle2, cover: CechCover, scale: int = 1) -> dict | None:
@@ -68,7 +88,7 @@ def rescale_lifts(cover: CechCover, b_exponents: dict, m: int) -> CechCover:
         sign = 1 if (i, j) in b_exponents else -1
         b = b_exponents.get(key, 0)
         new[(i, j)] = _frozen(lift * zeta ** (-sign * b))
-    return CechCover(cover.chart_count, cover.n, cover.pairs, new, cover.triples, cover.quadruples, cover.m)
+    return CechCover(cover.chart_count, cover.n, new, cover.triples, cover.quadruples, cover.m)
 
 
 def vertex_gauge_cover(n, charts, lifts_at_charts, m=None, full_nerve=True):
@@ -111,18 +131,23 @@ def exact_det(mat):
 
 
 def test_smith_normal_form_random():
+    from itertools import combinations
+
     rng = np.random.default_rng(7)
     for _ in range(30):
         rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
         a = rng.integers(-5, 6, (rows, cols)).tolist()
-        s, u, v = smith_normal_form(a)
-        assert (np.array(u, dtype=object) @ np.array(a, dtype=object) @ np.array(v, dtype=object) == np.array(s, dtype=object)).all()
+        s, u = smith_normal_form(a)
         assert abs(exact_det(u)) == 1
-        assert abs(exact_det(v)) == 1
         diag = [s[i][i] for i in range(min(rows, cols))]
+        assert all(s[i][j] == 0 for i in range(rows) for j in range(cols) if i != j)
         for x, y in zip(diag, diag[1:]):
             assert x >= 0
             assert x == 0 or y % x == 0
+        # the k-th determinantal divisor (gcd of all k x k minors) is s_11 ... s_kk
+        for k in range(1, min(rows, cols) + 1):
+            minors = [exact_det([[a[i][j] for j in cs] for i in rs]) for rs in combinations(range(rows), k) for cs in combinations(range(cols), k)]
+            assert gcd(*(int(d) for d in minors)) == prod(diag[:k])
 
 
 def test_solve_mod_roundtrip():
@@ -152,24 +177,56 @@ def test_validate_two_chart_cover():
 
 
 def test_validate_missing_pair():
-    cover = make_cover(2, [(0, 1, np.eye(2)), (1, 2, np.eye(2))], triples=[(0, 1, 2)])
-    with pytest.raises(BadNerve):
-        validate_nerve(cover)
+    with pytest.raises(BadNerve, match=r"pair \(0, 2\) is missing"):
+        make_cover(2, [(0, 1, np.eye(2)), (1, 2, np.eye(2))], triples=[(0, 1, 2)])
 
 
 def test_validate_missing_triple_under_quadruple():
     from itertools import combinations
 
     pairs = [(i, j, np.eye(2)) for i, j in combinations(range(4), 2)]
-    cover = make_cover(2, pairs, triples=[(0, 1, 2)], quadruples=[(0, 1, 2, 3)])
-    with pytest.raises(BadNerve):
-        validate_nerve(cover)
+    with pytest.raises(BadNerve, match="triple"):
+        make_cover(2, pairs, triples=[(0, 1, 2)], quadruples=[(0, 1, 2, 3)])
 
 
 def test_validate_inconsistent_inverse_pair():
-    cover = make_cover(2, [(0, 1, np.diag([1.0, 2.0])), (1, 0, np.diag([1.0, 3.0]))])
+    with pytest.raises(BadNerve, match="not inverse"):
+        make_cover(2, [(0, 1, np.diag([1.0, 2.0])), (1, 0, np.diag([1.0, 3.0]))])
+
+
+def test_validate_nerve_checks_a_cover_built_directly():
+    # CechCover(...) skips make_cover, so validate_nerve stays public for such covers
+    cover = CechCover(3, 2, {(0, 1): _frozen(np.eye(2)), (1, 2): _frozen(np.eye(2))}, ((0, 1, 2),), ())
     with pytest.raises(BadNerve):
         validate_nerve(cover)
+
+
+def test_pairs_are_the_transition_keys_in_insertion_order():
+    cover = make_cover(2, [(1, 2, np.eye(2)), (0, 1, np.eye(2)), (0, 2, np.eye(2))], triples=[(0, 1, 2)])
+    assert cover.pairs == tuple(cover.transitions) == ((1, 2), (0, 1), (0, 2))
+    assert "pairs" not in {f.name for f in dataclasses.fields(CechCover)}
+
+
+@pytest.mark.parametrize(
+    "lift",
+    [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 1e-12])],
+    ids=["zero", "rank-1", "below-default-tol"],
+)
+def test_make_cover_rejects_a_singular_lift_naming_the_pair(lift):
+    with pytest.raises(BadNerve, match=r"lift for pair \(0, 1\) is singular"):
+        make_cover(2, [(0, 1, lift)])
+
+
+@pytest.mark.parametrize("scale", [5e-324, 1e-310, 1e300])
+def test_make_cover_takes_an_invertible_lift_at_any_scale(scale):
+    # [[2, 1], [1, 1]] * 5e-324 has an exact inverse, but an unscaled SVD of it reads a zero singular value
+    lift = np.array([[2.0, 1.0], [1.0, 1.0]]) * scale
+    assert make_cover(2, [(0, 1, lift)]).pairs == ((0, 1),)
+
+
+def test_make_cover_rejects_a_ragged_lift_naming_the_pair_and_shape():
+    with pytest.raises(ShapeMismatch, match=r"lift for pair \(0, 1\) is not a \(2, 2\) array"):
+        make_cover(2, [(0, 1, [[1, 0], [0]])])
 
 
 def test_symbol_cover_nerve_is_valid():

@@ -406,6 +406,8 @@ MALFORMED_FILES = {
     "cover-lift-Infinity": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 1, "lift": [[float("inf")] * 4] + LIFT[1:]}]}),
     "cover-pair-listed-twice": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 1, "lift": LIFT}, {"i": 0, "j": 1, "lift": LIFT}]}),
     "cover-self-pair": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 0, "lift": LIFT}]}),
+    "cover-lift-singular": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 1, "lift": [[0] * 4] * 4}], "triples": [], "quads": []}),
+    "cover-lift-ragged-row": ("cech", {"n": 2, "pairs": [{"i": 0, "j": 1, "lift": [[1, 0], [0]]}]}),
 }
 MALFORMED_ARGV = {
     "invariants-negative-tmax": ["invariants", "--da", "2", "--db", "2", "--tmax", "-1"],
@@ -440,6 +442,7 @@ MALFORMED_ARGV = {
     "spinchain-Infinity-delta": ["spinchain", "--delta", "inf"],
     "spinchain-NaN-j": ["spinchain", "--j", "nan"],
     "repro-negative-seed": ["repro", "--seed", "-1"],
+    "repro-only-with-an-unknown-name": ["repro", "--only", "bell-battery,no-such-check"],
 }
 # Malformed list arguments: the error text starts with the flag's name.
 NAMED_FLAG = {
@@ -467,6 +470,10 @@ ERROR_TEXT = {
     "state-dims-product-past-int64": "got 4 coefficients for dims (4611686018427387905, 4) (need 18446744073709551620)",
     "cover-pair-listed-twice": "pair (0, 1) is listed twice",
     "cover-self-pair": "pair (0, 0) joins a chart to itself",
+    "cover-lift-singular": "lift for pair (0, 1) is singular",
+    "cover-lift-ragged-row": "lift for pair (0, 1) is not a (2, 2) array",
+    "repro-empty-only": "unknown check names ''",
+    "repro-only-with-an-unknown-name": "unknown check names 'no-such-check';",
 }
 
 

@@ -1,15 +1,19 @@
 """The CLI contract as a seeded property test.
 
-Every subcommand but `repro` runs in process on generated argvs (valid
-inputs, near-boundary and extreme numbers, mutated state and cover files),
-with warnings turned into errors, and must keep the contract:
+Every subcommand runs in process on generated argvs (valid inputs,
+near-boundary and extreme numbers, mutated state and cover files; for
+`repro`, only its exit-2 paths), with warnings turned into errors, and must
+keep the contract:
 - exit 0 or 1: stdout is one strict-JSON report (no NaN or Infinity) and
   stderr is empty;
 - exit 1: the report holds a negative verdict, and exit 0 a positive one;
 - exit 2: stdout is empty and stderr is one strict-JSON error line, with no
   traceback and no warning.
 A usage error that argparse finds keeps the exit-2 rule with "command"
-null, since argv did not parse. Two further rules: a file flag given ""
+null, since argv did not parse; generated argvs with one malformed token
+(a non-numeric value, a missing required flag, an unknown flag or
+subcommand) are such errors, and a repeated flag parses, its last value
+winning. Two further rules: a file flag given ""
 exits 2, and `spinchain` exits 0 exactly when its numbers are valid
 (finite, delta > J, J at least the smallest normal double, branch 0..3),
 with an exact report for J >= 1e-300. The seeds are fixed.
@@ -24,6 +28,7 @@ import numpy as np
 import pytest
 
 from egeo.cli import run
+from egeo.repro import CHECKS
 from test_cli import block_residual
 
 SEEDS = (1, 2, 3)
@@ -199,6 +204,15 @@ def gen_satake(rnd, tmp_path):
     return with_tol(rnd, ["satake", "--eigs=" + ";".join(eigs), f"--d={d}"])
 
 
+def gen_repro(rnd, tmp_path):
+    """Only repro's exit-2 paths, since a battery run takes a second: a negative --seed or an unknown --only name."""
+    if rnd.random() < 0.4:
+        return ["repro", f"--seed={-rnd.randint(1, 10**6)}"] + (["--only=bell-battery"] if rnd.random() < 0.5 else [])
+    names = rnd.sample([name for name, _ in CHECKS], rnd.randint(0, 3)) + [rnd.choice(["", "no-such-check", "Bell-Battery", "bell-battery ", "bell"])]
+    rnd.shuffle(names)
+    return ["repro", "--only=" + ",".join(names)] + ([f"--seed={rnd.randint(0, 99)}"] if rnd.random() < 0.5 else [])
+
+
 GENERATORS = {
     "schmidt": gen_schmidt,
     "separability": gen_separability,
@@ -209,6 +223,7 @@ GENERATORS = {
     "cech": gen_cech,
     "split": gen_split,
     "satake": gen_satake,
+    "repro": gen_repro,
 }
 # Valid spectra at extreme moduli, each with its exit code. The first has a
 # column product that underflows, so its elementary symmetric values overflow
@@ -249,10 +264,15 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
-def check_contract(capsys, argv):
+def run_code(argv) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = run(argv)
+        return run(argv)
+
+
+def check_contract(capsys, argv) -> int:
+    """Run argv and check the contract; return its exit code."""
+    code = run_code(argv)
     out, err = capsys.readouterr()
     command = argv[0]
     if code == 2:
@@ -280,6 +300,7 @@ def check_contract(capsys, argv):
             assert block_residual(out, j) <= 1e-15, argv
             assert out["ground_state"][2:] == [[0.0, 0.0], [0.0, 0.0]], argv
             assert np.allclose(out["spectrum"], [-j, j, delta, delta], rtol=1e-15, atol=0), argv
+    return code
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -287,7 +308,79 @@ def check_contract(capsys, argv):
 def test_generated_argvs_keep_the_cli_contract(capsys, tmp_path, command, seed):
     rnd = random.Random(f"{command}-{seed}")
     for _ in range(CASES_PER_SEED):
-        check_contract(capsys, GENERATORS[command](rnd, tmp_path))
+        argv = GENERATORS[command](rnd, tmp_path)
+        code = check_contract(capsys, argv)
+        assert code == 2 or command != "repro", argv
+
+
+# Flags whose argparse type rejects a non-numeric token, and each subcommand's required flags.
+TYPED_FLAGS = {"--tol", "--da", "--db", "--r", "--tmax", "--p", "--j", "--delta", "--theta-u", "--branch", "--seed"}
+REQUIRED = {
+    "schmidt": ["--state", "--cut"],
+    "separability": ["--state"],
+    "invariants": ["--da", "--db"],
+    "rank222": ["--state"],
+    "holonomy": ["--p", "--loop"],
+    "split": ["--degrees", "--shape"],
+    "satake": ["--eigs", "--d"],
+}
+NON_NUMERIC = ["abc", "", "1,2", "0x1f", "one", "1e", "2.0.1", "1 2", "--"]
+UNKNOWN_FLAGS = ["--no-such-flag", "--no-such-flag=1", "--TOL=1e-9", "-x", "extra", "-1"]
+UNKNOWN_COMMANDS = ["no-such-command", "", "Schmidt", "cech2", "--cech", "repro_"]
+
+
+def malformed(rnd: random.Random, tmp_path) -> tuple[list, bool]:
+    """(argv, whether argparse accepts it): a generated argv given one malformed token."""
+    kind = rnd.choice(["non-numeric", "missing-required", "unknown-flag", "unknown-command", "repeated"])
+    command = rnd.choice([c for c in GENERATORS if c != "repro" or kind != "repeated"])
+    argv = GENERATORS[command](rnd, tmp_path)
+    typed = [k for k, a in enumerate(argv) if a.split("=", 1)[0] in TYPED_FLAGS and "=" in a]
+    if kind == "non-numeric" and typed:
+        at = rnd.choice(typed)
+        argv[at] = argv[at].split("=", 1)[0] + "=" + rnd.choice(NON_NUMERIC)
+        return argv, False
+    if kind == "missing-required" and command in REQUIRED:
+        flag = rnd.choice(REQUIRED[command])
+        at = next(k for k, a in enumerate(argv) if a.split("=", 1)[0] == flag)
+        del argv[at : at + (1 if "=" in argv[at] else 2)]
+        return argv, False
+    if kind == "unknown-command":
+        return [rnd.choice(UNKNOWN_COMMANDS)] + argv[1:], False
+    if kind == "repeated":  # argparse keeps the last value, so the argv runs as usual
+        flags = [a for a in argv[1:] if a.startswith("--") and "=" in a]
+        if flags:
+            again = rnd.choice(flags)
+            return argv + [again if rnd.random() < 0.5 else again.split("=", 1)[0] + "=" + argv_value(rnd, command, tmp_path, again)], True
+    argv.insert(rnd.randint(1, len(argv)), rnd.choice(UNKNOWN_FLAGS))
+    return argv, False
+
+
+def argv_value(rnd: random.Random, command: str, tmp_path, token: str) -> str:
+    """A value for token's flag taken from a fresh generated argv, or token's own value if that argv lacks the flag."""
+    flag = token.split("=", 1)[0]
+    fresh = [a for a in GENERATORS[command](rnd, tmp_path) if a.startswith(flag + "=")]
+    return (fresh[0] if fresh else token).split("=", 1)[1]
+
+
+def check_usage_error(capsys, argv, message: str = "egeo"):
+    """argparse rejected argv: exit 2, nothing on stdout, one JSON line with "command" null, led by message."""
+    assert run_code(argv) == 2, argv
+    out, err = capsys.readouterr()
+    (line,) = err.splitlines()
+    error = strict_json(line)
+    assert out == "" and set(error) == {"command", "error", "version"} and error["command"] is None, argv
+    assert error["error"].startswith(message), (argv, error)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_malformed_tokens_keep_the_cli_contract(capsys, tmp_path, seed):
+    rnd = random.Random(f"malformed-{seed}")
+    for _ in range(3 * CASES_PER_SEED):
+        argv, parses = malformed(rnd, tmp_path)
+        if parses:
+            check_contract(capsys, argv)
+        else:
+            check_usage_error(capsys, argv)
 
 
 @pytest.mark.parametrize("argv", PINNED, ids=[" ".join(x or '""' for x in a) for a in PINNED])
@@ -302,17 +395,13 @@ USAGE_ERRORS = {
     ("separability", "--state", "state.json", "--tol", "abc"): "egeo separability: argument --tol: invalid float value: 'abc'",
     ("invariants", "--da", "2", "--db", "2", "--tmax", "1e3"): "egeo invariants: argument --tmax: invalid int value: '1e3'",
     ("no-such-command",): "egeo: argument command: invalid choice: 'no-such-command'",
+    ("separability", "--state", "state.json", "--tol=--"): "egeo separability: argument --tol: expected one argument",
 }
 
 
 @pytest.mark.parametrize("argv,message", USAGE_ERRORS.items(), ids=[" ".join(argv) for argv in USAGE_ERRORS])
 def test_a_usage_error_is_one_json_line(capsys, argv, message):
-    assert run(list(argv)) == 2
-    out, err = capsys.readouterr()
-    (line,) = err.splitlines()
-    error = strict_json(line)
-    assert out == "" and set(error) == {"command", "error", "version"} and error["command"] is None
-    assert error["error"].startswith(message), error
+    check_usage_error(capsys, list(argv), message)
 
 
 @pytest.mark.parametrize("argv,code", SATAKE_EXTREMES.items(), ids=["column-product-underflows", "slot-modulus-overflows"])

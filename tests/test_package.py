@@ -173,3 +173,45 @@ def test_references_that_only_tests_call_live_in_the_tests():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
         assert not defined & moved, path.stem
+
+
+def test_only_make_cover_calls_validate_nerve():
+    # every cover make_cover returns is checked; validate_nerve stays public for covers built with CechCover(...)
+    src = Path(egeo.__file__).parent
+    callers = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        where = _enclosing(tree)
+        callers |= {
+            (path.stem, where.get(node))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "validate_nerve"
+        }
+    assert callers == {("cech_brauer", "make_cover")}
+
+
+def test_cech_cover_stores_no_pairs_and_the_smith_form_builds_no_column_transform():
+    tree = ast.parse((Path(egeo.__file__).parent / "cech_brauer.py").read_text(encoding="utf-8"))
+    (cover,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CechCover"]
+    assert "pairs" not in {node.target.id for node in cover.body if isinstance(node, ast.AnnAssign)}
+    tree = ast.parse((Path(egeo.__file__).parent / "modular.py").read_text(encoding="utf-8"))
+    (snf,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "smith_normal_form"]
+    returns = [node.value for node in ast.walk(snf) if isinstance(node, ast.Return)]
+    assert returns and all(isinstance(r, ast.Tuple) and [ast.unparse(e) for e in r.elts] == ["a", "u"] for r in returns)
+    assert "v" not in {node.id for node in ast.walk(snf) if isinstance(node, ast.Name)}
+
+
+def test_the_z_mod_m_oracle_runs_no_smith_form():
+    # the divisor-loop reference that class_order is checked against, and every test-module function it reaches
+    tree = ast.parse((Path(__file__).parent / "test_cech_brauer.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["divisor_loop_order"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        names = {node.id for node in ast.walk(functions[name]) if isinstance(node, ast.Name)}
+        assert "smith_normal_form" not in names, name
+        todo += sorted(names & set(functions))
+    assert {"divisor_loop_order", "coboundary_witness", "solve_mod"} <= reached
