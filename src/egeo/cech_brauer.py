@@ -26,7 +26,7 @@ from .errors import (
 )
 from .gluing_sim import PROJ_TOL, _scalar_value, det_normalize, is_local_operator, proj_equal, weyl_ops
 from .modular import smith_normal_form
-from .tensor_core import DEFAULT_RANK_TOL, _frozen, numerical_rank, unit_max_modulus
+from .tensor_core import DEFAULT_RANK_TOL, _frozen, numerical_rank
 
 ROOT_ORDER_CAP = 64
 
@@ -77,7 +77,7 @@ def make_cover(n: int, pairs_with_lifts, triples=(), quadruples=(), m: int | Non
             raise ShapeMismatch(f"lift for pair ({i}, {j}) has shape {lift.shape}, expected ({n}, {n})")
         if not np.isfinite(lift).all():
             raise NonFinite(f"lift for pair ({i}, {j}) has a non-finite entry")
-        rank = numerical_rank(unit_max_modulus(lift))  # a lift counts up to scale, and an SVD of subnormals does not
+        rank = numerical_rank(lift)
         if rank < n:
             raise BadNerve(f"lift for pair ({i}, {j}) is singular: numerical rank {rank} < n = {n}")
         transitions[(i, j)] = _frozen(lift)

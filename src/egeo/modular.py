@@ -7,6 +7,25 @@ without any floating point.
 from __future__ import annotations
 
 
+def _pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
+    """The first smallest-modulus nonzero entry of the trailing block a[t:, t:], row-major.
+
+    Re-selected after every sweep, which keeps entry growth tame. The scan
+    stops at an entry of modulus 1: no nonzero integer is smaller, and no
+    later entry would replace the first.
+    """
+    pivot, best = None, None
+    for i in range(t, len(a)):
+        row = a[i]
+        for j in range(t, len(row)):
+            x = abs(row[j])
+            if x and (best is None or x < best):
+                pivot, best = (i, j), x
+                if x == 1:
+                    return pivot
+    return pivot
+
+
 def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]]]:
     """Return (s, u) with u @ matrix @ v = s for some unimodular v, u unimodular, s diagonal.
 
@@ -35,14 +54,7 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]]]:
 
     t = 0
     while t < min(rows, cols):
-        # Pivot: a smallest-modulus nonzero entry of the trailing block.
-        # Re-selected after every sweep, which keeps entry growth tame.
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    pivot, best = (i, j), abs(a[i][j])
+        pivot = _pivot(a, t)
         if pivot is None:
             break
         row_swap(t, pivot[0])
@@ -64,13 +76,11 @@ def smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]]]:
             a[t] = [-x for x in a[t]]
             u[t] = [-x for x in u[t]]
         # Divisibility: fold a non-multiple row into the pivot row and redo.
-        folded = False
-        for i in range(t + 1, rows):
-            if any(a[i][j] % a[t][t] != 0 for j in range(t + 1, cols)):
-                row_combine(t, i, -1)
-                folded = True
-                break
-        if folded:
-            continue
+        # Every integer is a multiple of a unit pivot, so then none is sought.
+        if a[t][t] != 1:
+            folded = next((i for i in range(t + 1, rows) if any(a[i][j] % a[t][t] != 0 for j in range(t + 1, cols))), None)
+            if folded is not None:
+                row_combine(t, folded, -1)
+                continue
         t += 1
     return a, u

@@ -54,21 +54,24 @@ def set_partitions(n: int):
 
 
 def _leading_factors(state: PureState):
-    """Block -> leading singular vector of the block's side of its flattening.
+    """Block -> (leading singular vector of the block's side of its flattening, sigma_1 / ||t||_F).
 
     Each cut is flattened (subsystem 0's side as rows) and decomposed once, on
     first use, and both of its sides are kept, so every lookup after that
-    returns the very same vector.
+    returns the very same vector. The ratio is taken from the singular values
+    scaled by sigma_1 (their squares sum to ||t||_F^2), so it neither under-
+    nor overflows whatever the scale of the state.
     """
     n, t = state.n_subsystems, state.tensor()
-    factors: dict[tuple[int, ...], np.ndarray] = {}
+    factors: dict[tuple[int, ...], tuple[np.ndarray, float]] = {}
 
-    def factor(block: tuple[int, ...]) -> np.ndarray:
+    def factor(block: tuple[int, ...]) -> tuple[np.ndarray, float]:
         if block not in factors:
             rest = tuple(i for i in range(n) if i not in block)
             a, b = (block, rest) if 0 in block else (rest, block)
-            u, _, vh = np.linalg.svd(t.transpose(a + b).reshape(prod(state.dims[i] for i in a), -1), full_matrices=False)
-            factors[a], factors[b] = u[:, 0], vh[0, :]
+            u, s, vh = np.linalg.svd(t.transpose(a + b).reshape(prod(state.dims[i] for i in a), -1), full_matrices=False)
+            share = 1.0 / float(np.linalg.norm(s / s[0]))
+            factors[a], factors[b] = (u[:, 0], share), (vh[0, :], share)
         return factors[block]
 
     return factor
@@ -81,9 +84,18 @@ def _reconstructs(reference: np.ndarray, dims, blocks, factor, tol: float) -> bo
     """
     if len(blocks) == 1:
         return True
-    candidate = _block_product(dims, blocks, [factor(tuple(block)) for block in blocks])
+    candidate = _block_product(dims, blocks, [factor(tuple(block))[0] for block in blocks])
     candidate /= np.linalg.norm(candidate)
     return bool(abs(np.vdot(reference, candidate)) >= 1.0 - tol)
+
+
+# The normalized candidate of a partition is f_b (x) g for unit vectors f_b and g,
+# so its overlap with the normalized state is at most sigma_1 of the b|rest
+# flattening over ||t||_F. A block whose ratio is below 1 - tol by more than this
+# margin proves the overlap below 1 - tol; the margin is far above the rounding of
+# sigma_1 and of the overlap (about 1e-14 at n <= 6), so no partition that the
+# reconstruction would accept is turned away.
+SHARE_MARGIN = 1e-12
 
 
 def brute_force_finest(state: PureState, tol: float = 1e-8) -> Partition:
@@ -92,16 +104,20 @@ def brute_force_finest(state: PureState, tol: float = 1e-8) -> Partition:
     The normalized state and each block's factor are computed once and
     shared by all Bell(n) partitions. A partition that the running meet
     already refines is skipped: meeting with it changes nothing, whether
-    it passes or not. The running meet is kept as one block label per
-    subsystem.
+    it passes or not. A partition with a block whose sigma_1 share is
+    below 1 - tol - SHARE_MARGIN fails without building its candidate.
+    The running meet is kept as one block label per subsystem.
     """
     n = state.n_subsystems
     reference = state.normalized().coeffs
     factor = _leading_factors(state)
+    floor = 1.0 - tol - SHARE_MARGIN
     labels, count = [0] * n, 1
     for blocks in set_partitions(n):
         if sum(len({labels[i] for i in b}) for b in blocks) == count:
             continue  # no label is split across blocks: the running meet refines this partition
+        if any(factor(tuple(b))[1] < floor for b in blocks):
+            continue  # some block's overlap bound is below 1 - tol: the partition fails
         if _reconstructs(reference, state.dims, blocks, factor, tol):
             labels = _meet_labels(labels, (sum(1 << i for i in b) for b in blocks))
             count = max(labels) + 1

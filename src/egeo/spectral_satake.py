@@ -20,12 +20,12 @@ ORACLE_SIZE_CAP = 16
 
 
 def _unit_product(values) -> tuple[complex, ...]:
-    zs = tuple(complex(z) for z in values)
+    zs = tuple(map(complex, values))
     if not zs:
         raise WrongSize("a spectral class needs at least one eigenvalue")
     if not all(map(cmath.isfinite, zs)):
         raise NonFinite("eigenvalues must be finite")
-    if any(z == 0 for z in zs):
+    if 0 in zs:
         raise ZeroState("spectral classes require nonzero eigenvalues")
     total = prod(zs)
     if total == 0 or not cmath.isfinite(total):
@@ -63,10 +63,16 @@ class LocalSpectra:
 
 
 def elem_sym(s: SpectralClass) -> list[complex]:
-    """Elementary symmetric values e_1 .. e_n of the eigenvalues."""
+    """Elementary symmetric values e_1 .. e_n of the eigenvalues.
+
+    Each eigenvalue updates the coefficients in place, from the highest
+    index down, so every update still reads the previous coefficients.
+    """
     coeffs = [1.0 + 0j]
     for z in s.eigenvalues:
-        coeffs = [coeffs[k] + (z * coeffs[k - 1] if k else 0) for k in range(len(coeffs))] + [z * coeffs[-1]]
+        coeffs.append(z * coeffs[-1])
+        for k in range(len(coeffs) - 2, 0, -1):
+            coeffs[k] = coeffs[k] + z * coeffs[k - 1]
     return coeffs[1:]
 
 
@@ -183,15 +189,15 @@ def _bipartite_splits(zs: tuple[complex, ...], d_a: int, d_b: int, tol: float):
     """
     rest = list(range(1, len(zs)))
     z00 = zs[0]
-    cells: dict[tuple[int, int], list[int]] = {}  # (a, b): candidates of the interior value zs[a] * zs[b] / z00
+    cells: dict[tuple[int, int], list[int]] = {}  # (a, b) and (b, a): candidates of the interior value zs[a] * zs[b] / z00
     for row_idx in combinations(rest, d_b - 1):
         row_left = [k for k in rest if k not in row_idx]
         columns = []  # every cell of a kept column is in cells
         for a in row_left:
             for b in row_idx:
                 cell = cells.get((a, b))
-                if cell is None:
-                    cell = cells[a, b] = _match_entry(zs[a] * zs[b] / z00, zs, tol)
+                if cell is None:  # zs[a] * zs[b] and zs[b] * zs[a] are the same float sums, bit for bit
+                    cell = cells[a, b] = cells[b, a] = _match_entry(zs[a] * zs[b] / z00, zs, tol)
                 if not cell:
                     break
             else:

@@ -176,9 +176,20 @@ def _check_rank_tol(tol: float) -> None:
 
 
 def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
-    """Count singular values above tol times the largest one."""
+    """Count singular values above tol times the largest one, whatever the scale of m.
+
+    When the largest lies outside [1e-150, 1e150] the small ones may under-
+    or overflow (unscaled, [[2, 1], [1, 1]] * 5e-324 reads as rank 1), so
+    there the SVD is taken again, of m divided by its largest modulus.
+    """
     _check_rank_tol(tol)
-    return _rank_of(np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False), tol)
+    m = np.asarray(m, dtype=complex)
+    if not np.isfinite(m).all():
+        raise NonFinite("matrix has a non-finite entry")
+    s = np.linalg.svd(m, compute_uv=False)
+    if s.size and not 1e-150 <= s[0] <= 1e150:
+        s = np.linalg.svd(unit_max_modulus(m), compute_uv=False)
+    return _rank_of(s, tol)
 
 
 def _rank_one_test(t: np.ndarray, tol: float) -> Callable[[int], bool]:

@@ -1,12 +1,14 @@
 """The brute-force oracles and the partition lattice against verbatim copies of their unshared forms.
 
 `brute_force_finest` skips partitions that its running meet already
-refines and flattens each cut itself, with no `Bipartition` and no
-`flatten`. `d_product_oracle` computes each predicted grid value's
-candidate list (the eigenvalues within the match bound, nearest first)
-once per spectrum, and skips a column whose value in some row slot has no
-candidate. `meet` folds block masks into one label per subsystem, and
-`refines` reads the block labels of q. `minor_rank` takes its subset
+refines, fails a partition with a block whose sigma_1 share is below
+1 - tol by more than a margin without building its candidate, and
+flattens each cut itself, with no `Bipartition` and no `flatten`.
+`d_product_oracle` computes each predicted grid value's candidate list
+(the eigenvalues within the match bound, nearest first) once per
+spectrum, shared with its mirror, and skips a column whose value in some
+row slot has no candidate. `meet` folds block masks into one label per
+subsystem, and `refines` reads the block labels of q. `minor_rank` takes its subset
 indices from a cached read-only table, and `monomial_quotient_dim`
 eliminates over sparse rows. None may change a verdict, a witness or a
 dimension: the references below are the code as it was before, with the
@@ -21,15 +23,19 @@ The constructions written once and shared are held to their former
 separate formulas the same way, bit for bit: `cofactor_matrix` (minor by
 minor), the factor swap in `is_local_operator` (a permutation-matrix
 product), the `is_22_product` witness match (a value pool) and
-`random_block_product` (`np.kron`). `is_local_operator` and `rank_2x2x2`
+`random_block_product` (`np.kron`). So are the early stops of the Smith
+form's pivot search, `elem_sym`'s in-place update and `_unit_product`.
+`is_local_operator` and `rank_2x2x2`
 ask the certified rank-1 test of a cut; they are held verdict for verdict
 to the SVD forms they had before, near the tolerance and at every scale.
 """
 
 import cmath
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,6 +51,7 @@ from egeo import (
     bipartitions,
     cofactor_matrix,
     d_product_oracle,
+    elem_sym,
     flatten,
     is_22_product,
     is_local_operator,
@@ -60,7 +67,9 @@ from egeo import (
     w_family,
     w_state,
 )
-from egeo import oracles, spectral_satake, tensor_core
+from egeo import modular, oracles, spectral_satake, tensor_core
+from egeo.cech_brauer import _coboundary_matrix
+from egeo.errors import NonFinite, OutOfRange, WrongSize, ZeroState
 from egeo.oracles import _leading_factors, brute_force_finest, monomial_quotient_dim, random_block_product, set_partitions
 from egeo.separability import _labelled, _meet_labels
 from egeo.spectral_satake import SPECTRAL_TOL, _bipartite_splits, _greedy_match, _match_entry, _relations_22
@@ -105,7 +114,7 @@ def reference_brute_force_finest(state, tol=1e-8):
     """Meet of every partition that passes, each partition tested."""
     n = state.n_subsystems
     reference = state.normalized().coeffs
-    factor = _leading_factors(state)
+    factor = reference_leading_factors(state)
     finest = Partition.trivial(n)
     for blocks in set_partitions(n):
         p = Partition(n, tuple(tuple(b) for b in blocks))
@@ -242,8 +251,9 @@ def test_d_product_oracle_computes_each_predicted_value_once_per_spectrum(monkey
     rng = np.random.default_rng(163)
     s = SpectralClass(tuple(cmath.exp(complex(rng.normal(), rng.normal())) for _ in range(8)))
     assert list(_bipartite_splits(s.eigenvalues, 2, 4, SPECTRAL_TOL)) == []
-    # 7 * 6 ordered (column, row) pairs, each with 8 distances and one bound
-    assert len(calls) <= 7 * 6 * (8 + 1)
+    # 7 * 6 / 2 unordered pairs {column, row}: a value and its mirror share one candidate list,
+    # each with 8 distances and one bound
+    assert len(calls) <= 7 * 6 // 2 * (8 + 1)
 
 
 # ------------------------------------------------------------- meet and refines
@@ -306,38 +316,280 @@ def test_brute_force_finest_at_the_oracle_tolerance_boundary():
             assert brute_force_finest(st, tol) == reference_brute_force_finest(st, tol)
 
 
-def test_brute_force_finest_tests_only_the_discrete_partition_of_a_full_product(monkeypatch):
-    # set_partitions yields the discrete partition first; once it passes, the
-    # running meet is discrete and refines every later partition.
+def recorded_reconstructions(monkeypatch):
+    """The partitions that reach `_reconstructs`, in order, each as a tuple of blocks."""
     tested = []
     real = oracles._reconstructs
 
     def recording(reference, dims, blocks, factor, tol):
-        tested.append([tuple(b) for b in blocks])
+        tested.append(tuple(map(tuple, blocks)))
         return real(reference, dims, blocks, factor, tol)
 
     monkeypatch.setattr(oracles, "_reconstructs", recording)
+    return tested
+
+
+def test_brute_force_finest_tests_only_the_discrete_partition_of_a_full_product(monkeypatch):
+    # set_partitions yields the discrete partition first; once it passes, the
+    # running meet is discrete and refines every later partition.
+    tested = recorded_reconstructions(monkeypatch)
     rng = np.random.default_rng(151)
     state = random_block_product(rng, (2, 3, 2, 2, 3), [(i,) for i in range(5)])
     assert brute_force_finest(state) == Partition.discrete(5)
-    assert tested == [[(0,), (1,), (2,), (3,), (4,)]]
+    assert tested == [((0,), (1,), (2,), (3,), (4,))]
 
 
 def test_brute_force_finest_tests_every_partition_of_an_entangled_state(monkeypatch):
     # The running meet of a GME state stays trivial, which refines no other
-    # partition, so all Bell(5) - 1 = 51 multi-block partitions are tested.
-    tested = []
-    real = oracles._reconstructs
+    # partition, so all Bell(5) - 1 = 51 multi-block partitions are decided.
+    # Each has a block whose sigma_1 share is far below 1 - tol, so none is
+    # reconstructed, and the 15 cuts of 5 subsystems take one SVD each.
+    tested = recorded_reconstructions(monkeypatch)
+    current, decided, svds = [None], set(), []
+    real_partitions, real_factors, real_svd = oracles.set_partitions, oracles._leading_factors, np.linalg.svd
 
-    def recording(reference, dims, blocks, factor, tol):
-        tested.append(len(blocks))
-        return real(reference, dims, blocks, factor, tol)
+    def numbered_partitions(n):
+        for blocks in real_partitions(n):
+            if n == 5:  # not the recursion's shorter partitions
+                current[0] = tuple(map(tuple, blocks))
+            yield blocks
 
-    monkeypatch.setattr(oracles, "_reconstructs", recording)
+    def recorded_factors(state):
+        factor = real_factors(state)
+
+        def recorded(block):
+            decided.add(current[0])
+            return factor(block)
+
+        return recorded
+
+    def counted_svd(*args, **kwargs):
+        svds.append(args[0].shape)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "set_partitions", numbered_partitions)
+    monkeypatch.setattr(oracles, "_leading_factors", recorded_factors)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
     rng = np.random.default_rng(157)
     state = make_state((2,) * 5, rng.standard_normal(32) + 1j * rng.standard_normal(32))
     assert brute_force_finest(state) == Partition.trivial(5)
-    assert len(tested) == 51 and 1 not in tested
+    assert len(decided) == 51 and all(len(p) > 1 for p in decided)
+    assert tested == []
+    assert len(svds) == 15
+
+
+def test_brute_force_finest_reconstructs_a_partition_whose_sigma_1_share_is_within_the_margin(monkeypatch):
+    # Two qubits with Schmidt coefficients (c, sqrt(1 - c^2)), turned by local unitaries:
+    # the sigma_1 share of either qubit is c, and so is the overlap of the reconstruction.
+    # c = 1 - tol - 5e-13 lies inside the margin, so the screen lets it through and the
+    # reconstruction rejects it; c = 1 - tol + 5e-13 passes both.
+    tested = recorded_reconstructions(monkeypatch)
+    rng = np.random.default_rng(167)
+    tol = 1e-8
+    for offset, expected in ((-5e-13, Partition.trivial(2)), (5e-13, Partition.discrete(2))):
+        c = 1.0 - tol + offset
+        u, v = (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0] for _ in range(2))
+        state = make_state((2, 2), (u @ np.diag([c, np.sqrt(1.0 - c * c)]) @ v.T).ravel())
+        assert abs(oracles._leading_factors(state)((0,))[1] - c) < 1e-15
+        tested.clear()
+        assert brute_force_finest(state, tol) == expected
+        assert tested == [((0,), (1,))]
+
+
+# ------------------------------------------------------------- the early stops
+# The Smith form's pivot search stops at a unit entry and skips the
+# divisibility sweep under a unit pivot; elem_sym updates its coefficients in
+# place; _unit_product converts with map and tests for a zero with `in`. Each
+# is held bit for bit to the form it replaced, verbatim below.
+
+
+def reference_smith_normal_form(matrix) -> tuple[list[list[int]], list[list[int]]]:
+    """Return (s, u) with u @ matrix @ v = s for some unimodular v, u unimodular, s diagonal.
+
+    Diagonal entries are nonnegative with s[i] | s[i+1]. The column
+    transform v is not built: reading a class over Z/m needs only u.
+    """
+    a = [[int(x) for x in row] for row in matrix]
+    rows, cols = len(a), len(a[0]) if a else 0
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+
+    def row_combine(i, j, q):  # row i -= q * row j
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_combine(i, j, q):  # col i -= q * col j
+        for r in range(rows):
+            a[r][i] -= q * a[r][j]
+
+    def row_swap(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for r in range(rows):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+
+    t = 0
+    while t < min(rows, cols):
+        # Pivot: a smallest-modulus nonzero entry of the trailing block.
+        # Re-selected after every sweep, which keeps entry growth tame.
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
+                    pivot, best = (i, j), abs(a[i][j])
+        if pivot is None:
+            break
+        row_swap(t, pivot[0])
+        col_swap(t, pivot[1])
+        clean = True
+        for i in range(t + 1, rows):
+            if a[i][t] != 0:
+                row_combine(i, t, a[i][t] // a[t][t])
+                if a[i][t] != 0:
+                    clean = False
+        for j in range(t + 1, cols):
+            if a[t][j] != 0:
+                col_combine(j, t, a[t][j] // a[t][t])
+                if a[t][j] != 0:
+                    clean = False
+        if not clean:
+            continue  # a strictly smaller pivot now exists; re-select
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            u[t] = [-x for x in u[t]]
+        # Divisibility: fold a non-multiple row into the pivot row and redo.
+        folded = False
+        for i in range(t + 1, rows):
+            if any(a[i][j] % a[t][t] != 0 for j in range(t + 1, cols)):
+                row_combine(t, i, -1)
+                folded = True
+                break
+        if folded:
+            continue
+        t += 1
+    return a, u
+
+
+def reference_elem_sym(s):
+    """Elementary symmetric values e_1 .. e_n of the eigenvalues."""
+    coeffs = [1.0 + 0j]
+    for z in s.eigenvalues:
+        coeffs = [coeffs[k] + (z * coeffs[k - 1] if k else 0) for k in range(len(coeffs))] + [z * coeffs[-1]]
+    return coeffs[1:]
+
+
+def reference_unit_product(values):
+    zs = tuple(complex(z) for z in values)
+    if not zs:
+        raise WrongSize("a spectral class needs at least one eigenvalue")
+    if not all(map(cmath.isfinite, zs)):
+        raise NonFinite("eigenvalues must be finite")
+    if any(z == 0 for z in zs):
+        raise ZeroState("spectral classes require nonzero eigenvalues")
+    total = prod(zs)
+    if total == 0 or not cmath.isfinite(total):
+        raise OutOfRange("the product of the eigenvalues overflows or underflows")
+    root = cmath.exp(cmath.log(total) / len(zs))
+    return tuple(z / root for z in zs)
+
+
+def seeded_integer_matrices(rng, count):
+    """The coboundary matrices of the symbol covers p = 2..5, then matrices up to 7 x 7 with entries
+    up to 2, 5 or 30 in modulus, of either sign: plain, all multiples of 2, 3 or 6 (no unit pivot),
+    with zero rows and columns, and even entries with one unit late in row-major order."""
+    for p in range(2, 6):
+        yield _coboundary_matrix(symbol_cover(p))[0]
+    for trial in range(count):
+        rows, cols = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        a = rng.integers(-(2, 5, 30)[trial % 3], (2, 5, 30)[trial % 3] + 1, (rows, cols))
+        kind = trial // 3 % 4
+        if kind == 1:
+            a *= (2, 3, 6)[trial // 12 % 3]
+        elif kind == 2:
+            a[rng.random(rows) < 0.3, :] = 0
+            a[:, rng.random(cols) < 0.3] = 0
+        elif kind == 3:
+            a *= 2
+            a[-1, int(rng.integers(cols))] = (1, -1)[trial % 2]
+        yield a.tolist()
+
+
+def test_pivot_search_stops_only_where_the_full_scan_would_pick_the_same_entry():
+    # Asked first: a search that stopped at a later minimum than the full scan's could
+    # leave a remainder it never picks up, and the Smith form would not terminate.
+    rng = np.random.default_rng(227)
+    for a in seeded_integer_matrices(rng, 600):
+        for t in range(min(len(a), len(a[0]))):
+            # the full scan's pivot: the least modulus, first in row-major order
+            entries = [(abs(a[i][j]), i, j) for i in range(t, len(a)) for j in range(t, len(a[0])) if a[i][j]]
+            assert modular._pivot(a, t) == (min(entries)[1:] if entries else None), (a, t)
+
+
+def test_smith_normal_form_matches_the_full_pivot_scan_bit_for_bit():
+    rng = np.random.default_rng(229)
+    units = non_units = 0
+    for a in seeded_integer_matrices(rng, 1200):
+        s, u = modular.smith_normal_form(a)
+        assert (s, u) == reference_smith_normal_form(a), a
+        diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
+        units += 1 in diag
+        non_units += any(x > 1 for x in diag)
+    assert units > 600 and non_units > 300, (units, non_units)
+
+
+def bits(values) -> bytes:
+    return np.array(list(values), dtype=complex).tobytes()
+
+
+def outcome(f, *args):
+    """("ok", the result's bits), or the error's type and text."""
+    try:
+        return "ok", bits(f(*args))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def wide_spectra(rng, count):
+    """Lists of 1..16 values with moduli 10^+-(0 .. 150), spread freely (their product may under-
+    or overflow) or with log-moduli summing to zero; some have a repeated value, a zero, real
+    values, or an exact 1."""
+    for trial in range(count):
+        n = 1 + trial % 16
+        top = (0, 1, 10, 75, 150)[trial // 16 % 5]
+        logs = rng.uniform(-top, top, n)
+        if trial // 80 % 2:
+            logs -= logs.mean()
+        zs = [cmath.rect(10.0 ** x, rng.uniform(-np.pi, np.pi)) for x in logs]
+        k = int(rng.integers(n))
+        if trial % 7 == 3:
+            zs[k] = zs[0]
+        elif trial % 11 == 5:
+            zs[k] = 0j
+        elif trial % 13 == 4:
+            zs = [z.real for z in zs]
+        elif trial % 17 == 6:
+            zs[k] = 1.0
+        yield zs
+
+
+def test_unit_product_and_elem_sym_match_their_former_forms_bit_for_bit():
+    rng = np.random.default_rng(233)
+    outcomes, non_finite = Counter(), 0
+    for zs in wide_spectra(rng, 4000):
+        got = outcome(spectral_satake._unit_product, zs)
+        assert got == outcome(reference_unit_product, zs), zs
+        outcomes[got[0]] += 1
+        raw = SimpleNamespace(eigenvalues=tuple(map(complex, zs)))  # elem_sym reads only the eigenvalues
+        e = elem_sym(raw)
+        assert bits(e) == bits(reference_elem_sym(raw)), zs
+        non_finite += not all(map(cmath.isfinite, e))
+        if got[0] == "ok":
+            s = SpectralClass(tuple(zs))
+            assert bits(elem_sym(s)) == bits(reference_elem_sym(s)), zs
+    assert outcomes["ok"] > 3000 and outcomes["OutOfRange"] > 100 and outcomes["ZeroState"] > 100, outcomes
+    assert non_finite > 100, non_finite
 
 
 # ------------------------------------------------------------- shared constructions
@@ -700,9 +952,12 @@ def test_leading_factors_match_the_bipartition_flatten_reference_bit_for_bit():
         n = st.n_subsystems
         got, want = _leading_factors(st), reference_leading_factors(st)
         blocks = [block for size in range(1, n) for block in combinations(range(n), size)]
+        unit = st.normalized()
         for block in blocks[trial % 2 :] + blocks[: trial % 2]:  # either side of a cut may come first
-            g, w = got(block), want(block)
+            (g, share), w = got(block), want(block)
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), (st.dims, block)
+            # sigma_1 / ||t||_F, at every scale: sigma_1 of the normalized state's flattening
+            assert abs(share - np.linalg.svd(flatten(unit, Bipartition(n, block)), compute_uv=False)[0]) < 1e-14
 
 
 def reference_monomial_quotient_dim(t):

@@ -163,6 +163,25 @@ def test_minor_rank_names_a_non_finite_entry(bad):
             minor_rank(m)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(np.nan, 1.0)])
+def test_numerical_rank_names_a_non_finite_entry(bad):
+    m = np.eye(3, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(NonFinite, match="matrix has a non-finite entry"):
+        numerical_rank(m)
+
+
+def test_numerical_rank_does_not_depend_on_scale():
+    # Unscaled, the SVD read [[2, 1], [1, 1]] * 5e-324 (entries two and one subnormal steps) as rank 1.
+    full, single = np.array([[2.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 1.0], [2.0, 2.0]])
+    for scale in (5e-324, 1e-320, 1e-310, 1e-150, 1.0, 1e150, 1e300, 5e307):
+        assert numerical_rank(full * scale) == 2, scale
+        assert numerical_rank(single * scale) == 1, scale
+        assert numerical_rank(1j * full * scale) == 2, scale
+    assert numerical_rank(np.zeros((2, 2))) == 0 == numerical_rank(np.zeros((0, 3)))
+
+
 def test_minor_rank_size_cap():
     with pytest.raises(TooLarge):
         minor_rank(np.eye(9))
