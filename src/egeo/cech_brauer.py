@@ -10,7 +10,9 @@ exact Smith-normal-form solve over Z/m.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
+from functools import cache
 from math import gcd, lcm
 
 import numpy as np
@@ -26,7 +28,7 @@ from .errors import (
 )
 from .gluing_sim import PROJ_TOL, _scalar_value, det_normalize, is_local_operator, proj_equal, weyl_ops
 from .modular import smith_normal_form
-from .tensor_core import DEFAULT_RANK_TOL, _frozen, numerical_rank
+from .tensor_core import DEFAULT_RANK_TOL, _frozen, numerical_rank, unit_max_modulus
 
 ROOT_ORDER_CAP = 64
 
@@ -158,16 +160,21 @@ def pgl_cocycle_defect(cover: CechCover) -> Cocycle2:
     """Scalars of all triple products, as exponents in Z/m.
 
     m is taken from the cover when present, otherwise inferred as the lcm
-    of the detected scalar orders.
+    of the detected scalar orders.  Being scalar is projective, so it is
+    decided on the lifts divided by their max modulus, whose product does
+    not overflow; the scalar itself is read off the lifts as given.
     """
+    unit = replace(cover, transitions={pair: unit_max_modulus(g) for pair, g in cover.transitions.items()})
+    lift, unit_lift = cache(cover.lift), cache(unit.lift)  # each inverse lift is formed once
     scalars = {}
-    for t in cover.triples:
-        i, j, k = t
-        product = cover.lift(i, j) @ cover.lift(j, k) @ cover.lift(k, i)
-        scalar = _scalar_value(product)
-        if scalar is None:
-            raise NotPGLCocycle("triple product of lifts is not a scalar matrix")
-        scalars[t] = scalar
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product is refused below
+        for t in cover.triples:
+            if _scalar_value(_triple_product(unit_lift, t)) is None:
+                raise NotPGLCocycle("triple product of lifts is not a scalar matrix")
+            product = _triple_product(lift, t)
+            if not np.isfinite(product).all():
+                raise OutOfRange(f"the triple product of lifts over {t} overflows a float")
+            scalars[t] = complex(np.trace(product)) / cover.n
     m = cover.m
     if m is None:
         m = 1
@@ -175,6 +182,11 @@ def pgl_cocycle_defect(cover: CechCover) -> Cocycle2:
             m = lcm(m, _infer_order(c))
     values = {t: _root_exponent(c, m) for t, c in scalars.items()}
     return Cocycle2(m, values)
+
+
+def _triple_product(lift: Callable[[int, int], np.ndarray], t: tuple[int, int, int]) -> np.ndarray:
+    i, j, k = t
+    return lift(i, j) @ lift(j, k) @ lift(k, i)
 
 
 def is_2cocycle(c: Cocycle2, cover: CechCover) -> bool:

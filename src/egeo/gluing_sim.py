@@ -63,7 +63,9 @@ def det_normalize(g: np.ndarray) -> np.ndarray:
 
 
 def _scalar_value(mat: np.ndarray) -> complex | None:
-    """s = trace/n if mat is within PROJ_TOL * max(1, |s|) of s I entrywise, else None."""
+    """s = trace/n if mat is finite and within PROJ_TOL * max(1, |s|) of s I entrywise, else None."""
+    if not np.isfinite(mat).all():
+        return None
     n = mat.shape[0]
     scalar = complex(np.trace(mat)) / n
     return None if np.max(np.abs(mat - scalar * np.eye(n))) > PROJ_TOL * max(1.0, abs(scalar)) else scalar

@@ -16,7 +16,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import ShapeMismatch, TooLarge, WrongShape, ZeroState
-from .tensor_core import CERTIFY_MIN_TOL, DEFAULT_RANK_TOL, Bipartition, PureState, _rank_one_test, make_state, numerical_rank, unit_max_modulus
+from .tensor_core import CERTIFY_MIN_TOL, DEFAULT_RANK_TOL, Bipartition, PureState, _cross_tests, _rank_one_test, make_state, numerical_rank, unit_max_modulus
 
 MAX_ENUM_SUBSYSTEMS = 16
 PENCIL_TOL = 1e-9
@@ -113,8 +113,20 @@ def is_pi_product(state: PureState, p: Partition, tol: float = DEFAULT_RANK_TOL)
 
 
 def _product_cuts(state: PureState, tol: float) -> Iterator[int]:
+    """The masks of the cuts along which the state is product, in canonical order.
+
+    Once the first cut is product, one global residual may prove that every
+    cut is (`_cross_tests`' every_cut: the Segre locus in one test), and
+    then the rest take no per-cut residual; otherwise each takes its own.
+    """
     masks = _cut_masks(state.n_subsystems)
-    return filter(_rank_one_test(state.tensor(), tol), masks)
+    rank_one, every_cut = _cross_tests(state.tensor(), tol)
+    if rank_one(masks[0]):
+        yield masks[0]
+        if every_cut():
+            yield from masks[1:]
+            return
+    yield from filter(rank_one, masks[1:])
 
 
 def finest_product_partition(state: PureState, tol: float = DEFAULT_RANK_TOL) -> Partition:

@@ -22,6 +22,7 @@ MINOR_SIZE_CAP = 8
 # the certificates' factor-2 margin, so the SVD decides every cut.
 CERTIFY_MIN_TOL = 1e-11
 SMALLEST_NORMAL = float(np.finfo(float).tiny)
+EPS = float(np.finfo(float).eps)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -193,7 +194,13 @@ def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
 
 
 def _rank_one_test(t: np.ndarray, tol: float) -> Callable[[int], bool]:
-    """The test "is the flattening of the n-axis array t along this cut (a bitmask) rank 1?".
+    """The test "is the flattening of the n-axis array t along this cut (a bitmask) rank 1?" (see `_cross_tests`)."""
+    return _cross_tests(t, tol)[0]
+
+
+def _cross_tests(t: np.ndarray, tol: float) -> tuple[Callable[[int], bool], Callable[[], bool]]:
+    """(rank_one, every_cut): the test "is the flattening of the n-axis array t
+    along this cut (a bitmask) rank 1?", and a proof that every flattening is.
 
     Every flattening has the same entries, so the max-modulus entry is the
     maximal-volume pivot of every one, and the rank-1 cross residual R
@@ -212,6 +219,17 @@ def _rank_one_test(t: np.ndarray, tol: float) -> Callable[[int], bool]:
     with entries of modulus at most 1 no square overflows and the pivot's
     does not underflow, whatever the scale of t.  The SVD sees the same
     rescaled entries.
+
+    every_cut() is True when one global residual proves sigma_2 <= tol/2
+    sigma_1 on every cut at once, rank_one's accept band.  A =
+    `_cross_product(t, at)`, the pivot's n fibers multiplied out, has rank
+    1 on every flattening, so for delta >= ||T - A||_F Weyl's inequality
+    gives sigma_2 <= delta, and sigma_1 >= ||A||_F - delta >= ||T||_F - 2
+    delta: delta <= tol/2 (||T||_F - 2 delta) is the proof.  delta is the
+    computed residual plus 2 n eps ||A||_F, which covers the rounding of
+    A's n complex products (each within sqrt(5) u, u = eps/2), so the A it
+    bounds is exactly rank 1.  False proves nothing; it is always False
+    where rank_one calls the SVD alone.
     """
     _check_rank_tol(tol)
     n = t.ndim
@@ -221,7 +239,8 @@ def _rank_one_test(t: np.ndarray, tol: float) -> Callable[[int], bool]:
     pivot = t[at]
     fixed = [slice(i, i + 1) for i in at]
     free = slice(None)
-    reject = 4.0 * tol * np.linalg.norm(t)
+    norm = np.linalg.norm(t)
+    reject = 4.0 * tol * norm
     certify = tol >= CERTIFY_MIN_TOL and pivot != 0
 
     def rank_one(mask: int) -> bool:
@@ -235,7 +254,24 @@ def _rank_one_test(t: np.ndarray, tol: float) -> Callable[[int], bool]:
                 return True
         return numerical_rank(_flattening(t, mask), tol) == 1
 
-    return rank_one
+    def every_cut() -> bool:
+        if not certify:
+            return False
+        a = _cross_product(t, at)
+        delta = np.linalg.norm(t - a) + 2 * n * EPS * np.linalg.norm(a)
+        return bool(delta <= 0.5 * tol * (norm - 2 * delta))
+
+    return rank_one, every_cut
+
+
+def _cross_product(t: np.ndarray, at: tuple[int, ...]) -> np.ndarray:
+    """pivot * prod_i (t[at with axis i free] / pivot), pivot = t[at]: the rank-1
+    cross approximation of t through its pivot, n complex products per entry."""
+    pivot = t[at]
+    a = np.full((1,) * t.ndim, pivot)
+    for i in range(t.ndim):
+        a = a * (t[tuple(slice(None) if k == i else slice(j, j + 1) for k, j in enumerate(at))] / pivot)
+    return a
 
 
 def minor_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:

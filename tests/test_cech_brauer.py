@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import warnings
 from math import gcd, prod
 
 import numpy as np
@@ -268,6 +269,32 @@ def test_defect_rejects_nonscalar_product():
     cover = make_cover(2, [(i, j, m) for (i, j), m in lifts.items()], triples=[(0, 1, 2)])
     with pytest.raises(NotPGLCocycle):
         pgl_cocycle_defect(cover)
+
+
+@pytest.mark.parametrize("scales", [(1.0, 1.0, 1.0), (1e300, 1e300, 1e300), (1e-300, 1e-300, 1e-300), (1e-200, 1e300, 1e-320), (1e-310, 1.0, 1e200)])
+def test_defect_decides_a_nonscalar_product_at_every_scale(scales):
+    # Scalar-ness is decided on the max-modulus-scaled lifts, so no scale of them under- or overflows it; the
+    # product of the raw lifts reads as the scalar NaN where it overflows and as the scalar 0 where it underflows.
+    rng = np.random.default_rng(5)
+    lifts = [(0, 1), (1, 2), (0, 2)]
+    pairs = [(i, j, (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * s) for (i, j), s in zip(lifts, scales)]
+    cover = make_cover(2, pairs, triples=[(0, 1, 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPGLCocycle, match="not a scalar matrix"):
+            pgl_cocycle_defect(cover)
+
+
+@pytest.mark.parametrize("m", [4, None])
+def test_defect_names_a_triple_product_that_overflows(m):
+    # The symbol cover's triple products are scalars; with pairs (0, 1), (1, 3) and (0, 3) at 1e300 the one over
+    # (0, 1, 3) is too, but 1e300 * 1e300 overflows on the way to it.
+    cover = symbol_cover(2)
+    big = {pair: g * 1e300 if pair in {(0, 1), (1, 3), (0, 3)} else g for pair, g in cover.transitions.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match=r"the triple product of lifts over \(0, 1, 3\) overflows a float"):
+            pgl_cocycle_defect(dataclasses.replace(cover, transitions=big, m=m))
 
 
 def test_defect_rejects_nonunit_scalar():

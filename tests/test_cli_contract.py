@@ -411,3 +411,21 @@ def test_satake_at_extreme_moduli_names_egeo_s_reason_or_gives_a_verdict(capsys,
     assert "math domain" not in out + err and "absolute value too large" not in out + err
     if code == 2:
         assert "elementary symmetric values of --eigs overflow" in err
+
+
+@pytest.mark.parametrize("m", [4, None], ids=["m-4", "m-null"])
+def test_cech_names_a_triple_product_that_overflows(capsys, tmp_path, m):
+    # The saved symbol cover with lifts (0, 1), (1, 3) and (0, 3) times 1e300: the triple product over (0, 1, 3)
+    # overflows. No RuntimeWarning may reach stderr, and the error names the overflow, not a NaN scalar.
+    saved = tmp_path / "cover.json"
+    assert run_code(["cech", "--p", "2", "--save-cover", str(saved)]) == 1
+    capsys.readouterr()
+    data = json.loads(saved.read_text())
+    for pair in data["pairs"]:
+        if (pair["i"], pair["j"]) in {(0, 1), (1, 3), (0, 3)}:
+            pair["lift"] = [[[re * 1e300, im * 1e300] for re, im in row] for row in pair["lift"]]
+    data["m"] = m
+    argv = ["cech", "--cover", write(tmp_path, random.Random(m), data)]
+    assert check_contract(capsys, argv) == 2  # one JSON line on stderr, no warning
+    run_code(argv)
+    assert json.loads(capsys.readouterr().err)["error"] == "the triple product of lifts over (0, 1, 3) overflows a float"

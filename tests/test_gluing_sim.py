@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from egeo import (
     to_qudit_pair,
     weyl_ops,
 )
-from egeo.gluing_sim import det_normalize, wire_order
+from egeo.gluing_sim import _scalar_value, det_normalize, wire_order
 
 CUT = Bipartition(2, (0,))
 
@@ -115,6 +117,16 @@ def test_commutator_scalar_examples():
     assert abs(commutator_scalar(np.eye(4), w.x_op) - 1.0) < 1e-12
     assert abs(commutator_scalar(w.x_op, w.z_op) - w.zeta ** -1) < 1e-12
     assert abs(commutator_scalar(w.z_op, w.x_op) - w.zeta) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, np.nan)])
+def test_a_non_finite_matrix_is_never_scalar(bad):
+    # NaN compares False with every bound, so a bound test alone would call NaN I the scalar NaN.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _scalar_value(np.full((3, 3), bad, dtype=complex)) is None
+        assert _scalar_value(np.diag([bad, 1, 1]).astype(complex)) is None
+        assert _scalar_value(np.eye(3, dtype=complex) * 2j) == 2j
 
 
 def test_commutator_scalar_rejects_noncentral():

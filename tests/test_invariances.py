@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from egeo import (
+    Bipartition,
     Partition,
     bipartitions,
     concurrence,
@@ -30,6 +31,8 @@ from egeo import (
     weyl_ops,
 )
 from egeo.oracles import brute_force_finest, random_block_product
+from egeo.tensor_core import DEFAULT_RANK_TOL
+from test_product_scan import RATIO_FACTORS, near_block_product
 
 CASES = 100
 BRUTE_FORCE_MAX_N = 5
@@ -82,6 +85,31 @@ def test_permuting_subsystems_permutes_the_finest_partition(cases):
         perm = rng.permutation(state.n_subsystems)  # new subsystem k is old subsystem perm[k]
         moved = make_state([state.dims[i] for i in perm], state.tensor().transpose(perm).ravel())
         assert finest_product_partition(moved) == relabelled(expected, np.argsort(perm))
+
+
+def test_permuting_subsystems_permutes_the_report_of_product_and_near_tolerance_states():
+    # Block products and fully product states (which the global certificate settles), bare and with noise planted
+    # at f tol on the cuts that split two chosen blocks: the report's partition, product cuts and GME verdict all
+    # follow the relabelling.
+    for trial in range(80):
+        rng = rng_for(trial, 5)
+        n = 2 + trial % 9
+        dims = (2,) * n if trial % 3 else tuple(int(d) for d in rng.integers(2, 4, n)) if n <= 6 else (3, *(2,) * (n - 1))
+        fully_product, noisy = trial % 2 == 1, trial % 4 >= 2
+        blocks = [(i,) for i in range(n)] if fully_product else random_blocks(rng, n)
+        if noisy and len(blocks) > 1:
+            chosen = {int(c) for c in rng.choice(len(blocks), size=2, replace=False)}
+            state = near_block_product(rng, dims, blocks, chosen, RATIO_FACTORS[trial % len(RATIO_FACTORS)] * DEFAULT_RANK_TOL)
+        else:
+            state = random_block_product(rng, dims, blocks)
+        perm = rng.permutation(n)  # new subsystem k is old subsystem perm[k]
+        moved = make_state([dims[i] for i in perm], state.tensor().transpose(perm).ravel())
+        new_index = np.argsort(perm)
+        want, got = separability_report(state), separability_report(moved)
+        assert got.finest == relabelled(want.finest, new_index), trial
+        cuts = {Bipartition(n, tuple(int(new_index[i]) for i in cut.block_a)) for cut in want.product_bipartitions}
+        assert set(got.product_bipartitions) == cuts and len(got.product_bipartitions) == len(cuts), trial
+        assert got.gme == want.gme, trial
 
 
 def well_conditioned(rng, d):

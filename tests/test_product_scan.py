@@ -217,3 +217,163 @@ def test_product_cuts_fold_into_one_partition(monkeypatch):
     assert len(report.product_bipartitions) == 255
     assert len(built) == 1
     assert report.finest == Partition.discrete(9)
+
+
+# ------------------------------------------------------------- one global residual for a fully product state
+# Once the first cut is product, `_product_cuts` asks `_cross_tests`' every_cut: A = `_cross_product`, the
+# product of the pivot's fibers, and delta = ||T - A||_F (plus A's rounding) accept every cut when
+# delta <= tol/2 (||T||_F - 2 delta). Otherwise the per-cut scan runs as before.
+
+# sigma_2 / sigma_1 planted at f * tol: clear of the bounds, on the accept band, on the tolerance and past it.
+RATIO_FACTORS = tuple(f * (1 + s) for f in (0.0, 1e-3, 0.25, 0.5, 1.0, 2.0) for s in (-1e-3, 1e-3))
+SCALES = (1e-300, 1e-150, 1.0, 1e150, 1e300)
+
+
+def unit_pair(rng, d):
+    """Two orthonormal complex vectors of length d."""
+    q = np.linalg.qr(rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2)))[0]
+    return q[:, 0], q[:, 1]
+
+
+def near_block_product(rng, dims, blocks, chosen, ratio):
+    """v + ratio w, v the product of unit vectors v_b over the blocks and w that of w_b, with w_b a unit vector
+    orthogonal to v_b on the chosen blocks (two or more) and w_b = v_b elsewhere.
+
+    A cut that is a union of blocks and splits the chosen ones has flattening singular values exactly
+    (1, ratio); any other union of blocks is a product cut.
+    """
+    pairs = [unit_pair(rng, int(np.prod([dims[i] for i in b]))) for b in blocks]
+    v, w = np.ones(1, dtype=complex), np.ones(1, dtype=complex)
+    for k, (vb, wb) in enumerate(pairs):
+        v, w = np.kron(v, vb), np.kron(w, wb if k in chosen else vb)
+    order = [i for b in blocks for i in b]
+    return make_state(dims, (v + ratio * w).reshape([dims[i] for i in order]).transpose(np.argsort(order)).ravel())
+
+
+def near_product_states(seed):
+    """Fully product states and block products with noise at f tol, on qubits and qubit/qutrit mixes.
+
+    Half the noisy ones are over the discrete partition, where the certificate decides near its bound; the rest
+    keep subsystem 0 a block of its own, so that the first cut is product and the certificate must decline.
+    The exhaustive reference takes 0.15 s at n = 11 and 0.6 s at n = 12 (on qubits), so larger n get fewer states:
+    n = 11 and 12 only a fully product one.
+    """
+    rng = np.random.default_rng(seed)
+    for n in range(2, 13):
+        factors = RATIO_FACTORS if n <= 8 else RATIO_FACTORS[6::5] if n <= 10 else ()
+        mixes = [(2,) * n]
+        if n <= 10:  # and qutrits anywhere: n // 3 of them up to n = 8, one above
+            k = max(1, n // 3) if n <= 8 else 1
+            mixes.append(tuple(int(d) for d in rng.permutation([3] * k + [2] * (n - k))))
+        for dims in mixes:
+            yield random_block_product(rng, dims, [(i,) for i in range(n)])
+            for k, f in enumerate(factors if n > 2 else ()):
+                if k % 2:
+                    rest = random_blocks(rng, n - 1)
+                    blocks = [(0,), *(tuple(i + 1 for i in b) for b in rest)]
+                else:
+                    blocks = [(i,) for i in range(n)]
+                chosen = {int(c) for c in rng.choice(len(blocks), size=2, replace=False)}
+                yield near_block_product(rng, dims, blocks, chosen, f * TOL)
+
+
+@pytest.fixture
+def scan_counts(monkeypatch):
+    """Counts of global residuals (`_cross_product` calls) and of vdots (three per per-cut accept)."""
+    counts = {"global": 0, "vdot": 0}
+    cross, vdot = tensor_core._cross_product, np.vdot
+
+    def counted_cross(*args):
+        counts["global"] += 1
+        return cross(*args)
+
+    def counted_vdot(*args):
+        counts["vdot"] += 1
+        return vdot(*args)
+
+    monkeypatch.setattr(tensor_core, "_cross_product", counted_cross)
+    monkeypatch.setattr(np, "vdot", counted_vdot)
+    return counts
+
+
+def test_scan_matches_exhaustive_svd_on_product_and_near_tolerance_states(scan_counts):
+    settled = declined = 0
+    for trial, state in enumerate(near_product_states(seed=420)):
+        scales = SCALES if state.n_subsystems <= 4 else SCALES[trial % len(SCALES) :][:1]
+        for scale in scales:
+            scan_counts.update(dict.fromkeys(scan_counts, 0))
+            assert_report_matches_reference(make_state(state.dims, state.coeffs * scale))
+            # The report asks the certificate once its first cut is product; is_gme stops at that cut. Each
+            # per-cut test that does not reject takes three vdots, so 6 means the certificate settled the rest.
+            settled += scan_counts["global"] == 1 and scan_counts["vdot"] == 6
+            declined += scan_counts["global"] == 1 and scan_counts["vdot"] > 6
+    assert settled >= 100 and declined >= 100, (settled, declined)
+
+
+def basis_pair(dims, flipped, eps):
+    """e_0 + eps e_x, x being 1 on the flipped subsystems (two or more) and 0 elsewhere.
+
+    The pivot is e_0 and each of its fibers holds only the pivot, so A = e_0 and ||T - A||_F = eps exactly;
+    the cuts that split the flipped set have sigma_2 / sigma_1 = eps and the others are product.
+    """
+    t = np.zeros(dims, dtype=complex)
+    t[(0,) * len(dims)] = 1.0
+    t[tuple(int(i in flipped) for i in range(len(dims)))] = eps
+    return make_state(dims, t.ravel())
+
+
+def certificate_bound(n, tol):
+    """The eps at which delta = eps + 2 n EPS (A's rounding allowance) meets tol/2 (||T||_F - 2 delta)."""
+    eps = 0.0
+    for _ in range(200):  # a contraction: each step moves eps by at most tol times the last move
+        eps = 0.5 * tol * np.sqrt(1 + eps * eps) / (1 + tol) - 2 * n * tensor_core.EPS
+    return eps
+
+
+@pytest.mark.parametrize("tol", [0.5, 0.1])
+def test_the_certificate_accepts_exactly_up_to_its_bound(scan_counts, tol):
+    # On e_0 + eps e_x the residual is known exactly, so the bound delta <= tol/2 (||T||_F - 2 delta) is
+    # found to 1e-3: a 1 in place of the 2, or tol in place of tol/2, moves it by 5% or more at these tols.
+    dims = (2, 3, 2, 2, 3, 2)
+    n = len(dims)
+    eps_bound = certificate_bound(n, tol)
+    for side, settled in ((1 - 1e-3, True), (1 + 1e-3, False)):
+        state = basis_pair(dims, {0, 3}, eps_bound * side)
+        scan_counts.update(dict.fromkeys(scan_counts, 0))
+        report = separability_report(state, tol)
+        assert report.product_bipartitions == tuple(reference_cuts(state, tol))
+        assert len(report.product_bipartitions) == 2 ** (n - 1) - 1  # eps < tol: every cut is product
+        assert scan_counts["global"] == 1
+        assert (scan_counts["vdot"] == 3) == settled, (side, scan_counts)
+
+
+def test_a_fully_product_10_qubit_report_forms_one_global_and_one_per_cut_residual(scan_counts):
+    rng = np.random.default_rng(21)
+    state = random_block_product(rng, (2,) * 10, [(i,) for i in range(10)])
+    report = separability_report(state)
+    assert len(report.product_bipartitions) == 511 and report.finest == Partition.discrete(10)
+    assert scan_counts == {"global": 1, "vdot": 3}  # the first cut's accept; without the certificate, 511 * 3
+    # A GME state fails its first cut and pays for no global residual.
+    scan_counts.update(dict.fromkeys(scan_counts, 0))
+    generic = make_state((2,) * 10, rng.standard_normal(1024) + 1j * rng.standard_normal(1024))
+    assert separability_report(generic).gme and scan_counts["global"] == 0
+
+
+def test_a_fully_product_16_qubit_report_takes_one_global_residual(scan_counts):
+    state = random_block_product(np.random.default_rng(22), (2,) * 16, [(i,) for i in range(16)])
+    report = separability_report(state)
+    assert len(report.product_bipartitions) == 2**15 - 1 and report.finest == Partition.discrete(16)
+    assert report.product_bipartitions[-1] == Bipartition(16, (0, *range(2, 16)))
+    assert scan_counts == {"global": 1, "vdot": 3}
+
+
+def test_the_certificate_never_runs_below_the_certified_tolerance(scan_counts):
+    rng = np.random.default_rng(23)
+    for n in range(2, 9):
+        state = random_block_product(rng, (2,) * n, [(i,) for i in range(n)])
+        assert_report_matches_reference(state, separability.CERTIFY_MIN_TOL / 10)
+        assert separability.finest_product_partition(state, separability.CERTIFY_MIN_TOL / 10) == Partition.discrete(n)
+    assert scan_counts == {"global": 0, "vdot": 0}
+    # At CERTIFY_MIN_TOL itself it runs, once per scan.
+    separability_report(state, separability.CERTIFY_MIN_TOL)
+    assert scan_counts == {"global": 1, "vdot": 3}
