@@ -151,7 +151,7 @@ def cmd_schmidt(args) -> tuple[dict, dict, int]:
     from .tensor_core import Bipartition, schmidt_decompose
 
     state = load_state(args.state)
-    cut = Bipartition(state.n_subsystems, tuple(_parse_ints(args.cut, "--cut")))
+    cut = Bipartition.of(state.n_subsystems, tuple(_parse_ints(args.cut, "--cut")))
     sd = schmidt_decompose(state, cut, args.tol)
     outputs = {
         "rank": sd.rank,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadWord, NonFinite, NotCentral, OutOfRange, ShapeMismatch
-from .tensor_core import DEFAULT_RANK_TOL, SMALLEST_NORMAL, PureState, _frozen, _rank_one_test, make_state
+from .tensor_core import DEFAULT_RANK_TOL, SMALLEST_NORMAL, PureState, _frozen, _rank_one_test, make_state, unit_max_modulus
 
 WEYL_MAX_DIM = 64
 HOLONOMY_MAX_P = 8  # the loop holonomy acts in dimension p^2 <= WEYL_MAX_DIM
@@ -49,13 +49,21 @@ def det_normalize(g: np.ndarray) -> np.ndarray:
     """Scale an invertible matrix to determinant 1.
 
     The scaling root is the one with argument in [0, 2 pi / n), n the
-    matrix size, so the normalization is deterministic.
+    matrix size, so the normalization is deterministic.  Singularity is
+    decided on g divided by its max modulus.  When g's own determinant is
+    not a finite normal double, that scaled matrix is normalized instead:
+    a positive scale changes neither the result nor the phase of 1/det.
     """
     g = np.asarray(g, dtype=complex)
     n = g.shape[0]
-    det = complex(np.linalg.det(g))
-    if abs(det) < 1e-12:
+    unit = unit_max_modulus(g)
+    unit_det = complex(np.linalg.det(unit))
+    if abs(unit_det) < 1e-12:
         raise ShapeMismatch("matrix is numerically singular, cannot normalize")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing det is replaced below
+        det = complex(np.linalg.det(g))
+    if not SMALLEST_NORMAL <= abs(det) < math.inf:
+        g, det = unit, unit_det
     target = 1.0 / det
     theta = cmath.phase(target) % (2 * cmath.pi)
     scale = abs(target) ** (1.0 / n) * cmath.exp(1j * theta / n)
@@ -107,8 +115,12 @@ def loop_holonomy(p: int, loop_word: str) -> np.ndarray:
 
 
 def commutator_scalar(g: np.ndarray, h: np.ndarray) -> complex:
-    """The central scalar g h g^-1 h^-1, normalized to modulus 1."""
-    ga, ha = np.asarray(g, dtype=complex), np.asarray(h, dtype=complex)
+    """The central scalar g h g^-1 h^-1, normalized to modulus 1.
+
+    It does not depend on the scale of g or h, so it is taken of both
+    divided by their max modulus, whose products neither under- nor overflow.
+    """
+    ga, ha = unit_max_modulus(g), unit_max_modulus(h)
     scalar = _scalar_value(ga @ ha @ np.linalg.inv(ga) @ np.linalg.inv(ha))
     if scalar is None:
         raise NotCentral("commutator is not a scalar matrix")

@@ -90,7 +90,7 @@ def _bell() -> PureState:
 
 
 def check_bell_battery(rng) -> tuple[bool, str]:
-    cut = Bipartition(2, (0,))
+    cut = Bipartition.of(2, (0,))
     bell = _bell()
     # warm up the LAPACK det/svd paths so timing measures the computation
     concurrence(bell)
@@ -349,7 +349,7 @@ def check_incidence(rng) -> tuple[bool, str]:
         dims = tuple(int(d) for d in rng.integers(2, 4, n))
         state = random_block_product(rng, dims, [tuple(range(n))])
         block = (0,) + tuple(i for i in range(1, n) if rng.random() < 0.4)
-        cut = Bipartition(n, block[: n - 1])
+        cut = Bipartition.of(n, block[: n - 1])
         lift = incidence_lift(state, cut)
         m = flatten(state, cut)
         err = np.abs(reassemble_lift(lift) - m).max() / np.abs(m).max()

@@ -93,13 +93,9 @@ def _cut_masks(n: int) -> range:
     return range(1, 2**n - 1, 2)
 
 
-def _members(mask: int, n: int) -> tuple[int, ...]:
-    return tuple(i for i in range(n) if mask >> i & 1)
-
-
 def bipartitions(n: int) -> list[Bipartition]:
     """All 2^(n-1) - 1 canonical bipartitions (block containing index 0)."""
-    return [Bipartition(n, _members(mask, n)) for mask in _cut_masks(n)]
+    return [Bipartition(n, mask) for mask in _cut_masks(n)]
 
 
 def is_pi_product(state: PureState, p: Partition, tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -155,7 +151,7 @@ def separability_report(state: PureState, tol: float = DEFAULT_RANK_TOL) -> Sepa
     if n == 1:  # no cuts, and GME needs two subsystems
         return SeparabilityReport(Partition.trivial(1), (), False)
     masks = list(_product_cuts(state, tol))
-    cuts = tuple(Bipartition(n, _members(mask, n)) for mask in masks)
+    cuts = tuple(Bipartition(n, mask) for mask in masks)
     return SeparabilityReport(_labelled(_meet_labels([0] * n, masks)), cuts, not cuts)
 
 

@@ -102,27 +102,31 @@ def make_state(dims, coeffs) -> PureState:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A cut A|A^c of the subsystem index set, canonicalized to contain 0."""
+    """A cut A|A^c of the subsystems as a bitmask (bit i: subsystem i in A), A holding subsystem 0."""
 
     n_subsystems: int
-    block_a: tuple[int, ...]
+    mask: int
 
     def __post_init__(self):
-        n = self.n_subsystems
-        block = tuple(sorted(set(self.block_a)))
-        if not block or len(block) >= n or any(i < 0 or i >= n for i in block):
-            raise ShapeMismatch(f"block {self.block_a} is not a proper nonempty subset of range({n})")
-        if 0 not in block:
-            block = self.complement_of(block, n)
-        object.__setattr__(self, "block_a", block)
+        full = 2**self.n_subsystems - 1
+        if not 0 < self.mask < full:
+            raise ShapeMismatch(f"mask {self.mask} is not a proper nonempty cut of range({self.n_subsystems})")
+        object.__setattr__(self, "mask", self.mask if self.mask & 1 else full ^ self.mask)
 
-    @staticmethod
-    def complement_of(block, n) -> tuple[int, ...]:
-        return tuple(i for i in range(n) if i not in block)
+    @classmethod
+    def of(cls, n: int, block) -> "Bipartition":
+        """The cut block|rest; the order and repeats of block do not matter."""
+        if not 0 < len(members := set(block)) < n or not members <= set(range(n)):
+            raise ShapeMismatch(f"block {block} is not a proper nonempty subset of range({n})")
+        return cls(n, sum(1 << i for i in members))
+
+    @property
+    def block_a(self) -> tuple[int, ...]:
+        return tuple(i for i in range(self.n_subsystems) if self.mask >> i & 1)
 
     @property
     def block_b(self) -> tuple[int, ...]:
-        return self.complement_of(self.block_a, self.n_subsystems)
+        return tuple(i for i in range(self.n_subsystems) if not self.mask >> i & 1)
 
 
 def flatten(state: PureState, cut: Bipartition) -> np.ndarray:
@@ -134,7 +138,7 @@ def flatten(state: PureState, cut: Bipartition) -> np.ndarray:
     """
     if cut.n_subsystems != state.n_subsystems:
         raise ShapeMismatch(f"cut is over {cut.n_subsystems} subsystems, state has {state.n_subsystems}")
-    return _frozen(_flattening(state.tensor(), sum(1 << i for i in cut.block_a)))
+    return _frozen(_flattening(state.tensor(), cut.mask))
 
 
 def _flattening(t: np.ndarray, mask: int) -> np.ndarray:

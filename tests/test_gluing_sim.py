@@ -28,7 +28,7 @@ from egeo import (
 )
 from egeo.gluing_sim import _scalar_value, det_normalize, wire_order
 
-CUT = Bipartition(2, (0,))
+CUT = Bipartition.of(2, (0,))
 
 
 def schmidt_rank(state):
@@ -366,3 +366,101 @@ def test_det_normalize():
     normed = det_normalize(g)
     assert abs(np.linalg.det(normed) - 1.0) < 1e-9
     assert proj_equal(g, normed)
+
+
+# ------------------------------------------------------- projective routines at every scale
+# Each routine answers a projective question, so rescaling its input by any s > 0
+# must leave the verdict or scalar as it is at s = 1, and raise no RuntimeWarning.
+
+PROJECTIVE_SCALES = (1e-300, 1e-200, 1e-100, 1e-5, 1e5, 1e80, 1e200, 1e300)
+
+
+def weyl_word(rng, m):
+    """X^a Z^b for random exponents: every pair of these commutes up to a root of unity."""
+    w = weyl_ops(m)
+    a, b = rng.integers(0, m, 2)
+    return np.linalg.matrix_power(w.x_op, a) @ np.linalg.matrix_power(w.z_op, b)
+
+
+def invertible(rng, m):
+    """A random unitary times a diagonal in [0.5, 2]: condition number at most 4."""
+    q = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+    return q * rng.uniform(0.5, 2, m)
+
+
+def projective_pairs():
+    """(g, h): Weyl words, commuting invertible matrices and generic invertible ones, dims 2..8."""
+    rng = np.random.default_rng(3030)
+    for trial in range(12):
+        m = 2 + trial % 7
+        g = invertible(rng, m)
+        yield weyl_word(rng, m), weyl_word(rng, m)
+        yield g, g @ g - 2 * g
+        yield g, invertible(rng, m)
+
+
+def commutator_or_none(g, h):
+    try:
+        return commutator_scalar(g, h)
+    except NotCentral:
+        return None
+
+
+def test_commutator_scalar_does_not_depend_on_scale():
+    w = weyl_ops(4)
+    for s in PROJECTIVE_SCALES:
+        assert abs(commutator_scalar(w.z_op * s, w.x_op * s) - 1j) < 1e-12, s
+    verdicts = set()
+    for g, h in projective_pairs():
+        want = commutator_or_none(g, h)
+        verdicts.add(want is None)
+        for s, t in zip(PROJECTIVE_SCALES, PROJECTIVE_SCALES[::-1]):
+            got = commutator_or_none(g * s, h * t)
+            assert (got is None) == (want is None), (s, t)
+            assert got is None or abs(got - want) < 1e-9, (s, t)
+    assert verdicts == {True, False}
+
+
+def test_det_normalize_does_not_depend_on_scale():
+    for s in PROJECTIVE_SCALES:
+        assert np.allclose(det_normalize(s * np.eye(4)), np.eye(4), rtol=0, atol=1e-12), s
+    for g, _ in projective_pairs():
+        want = det_normalize(g)
+        singular = g.copy()
+        singular[:, -1] = singular[:, 0]
+        for s in PROJECTIVE_SCALES:
+            got = det_normalize(g * s)
+            # Unique up to an n-th root of unity: the chosen root may differ where 1/det is real positive.
+            assert abs(np.linalg.det(got) - 1) < 1e-9 and proj_equal(got, want), s
+            with pytest.raises(ShapeMismatch, match="numerically singular"):
+                det_normalize(singular * s)
+
+
+def test_proj_equal_does_not_depend_on_scale():
+    rng = np.random.default_rng(3031)
+    verdicts = set()
+    for g, h in projective_pairs():
+        for other in (h, g * (rng.uniform(0.5, 2) * np.exp(2j * np.pi * rng.random()))):
+            want = proj_equal(g, other)
+            verdicts.add(want)
+            for s in PROJECTIVE_SCALES:
+                for t in PROJECTIVE_SCALES:
+                    assert proj_equal(g * s, other * t) == want, (s, t)
+    assert verdicts == {True, False}
+
+
+def test_is_local_operator_does_not_depend_on_scale():
+    rng = np.random.default_rng(3032)
+    verdicts = set()
+    for d_a, d_b in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3)):
+        for g in (
+            np.kron(weyl_word(rng, d_a), weyl_word(rng, d_b)),
+            weyl_word(rng, d_a * d_b),
+            np.kron(invertible(rng, d_a), invertible(rng, d_b)),
+            invertible(rng, d_a * d_b),
+        ):
+            want = is_local_operator(g, d_a, d_b)
+            verdicts.add(want)
+            for s in PROJECTIVE_SCALES:
+                assert is_local_operator(g * s, d_a, d_b) == want, (d_a, d_b, s)
+    assert verdicts == {True, False}

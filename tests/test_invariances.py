@@ -107,7 +107,7 @@ def test_permuting_subsystems_permutes_the_report_of_product_and_near_tolerance_
         new_index = np.argsort(perm)
         want, got = separability_report(state), separability_report(moved)
         assert got.finest == relabelled(want.finest, new_index), trial
-        cuts = {Bipartition(n, tuple(int(new_index[i]) for i in cut.block_a)) for cut in want.product_bipartitions}
+        cuts = {Bipartition.of(n, tuple(int(new_index[i]) for i in cut.block_a)) for cut in want.product_bipartitions}
         assert set(got.product_bipartitions) == cuts and len(got.product_bipartitions) == len(cuts), trial
         assert got.gme == want.gme, trial
 

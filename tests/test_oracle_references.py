@@ -937,7 +937,7 @@ def reference_leading_factors(state):
 
     def factor(block):
         if block not in factors:
-            cut = Bipartition(n, block)
+            cut = Bipartition.of(n, block)
             u, _, vh = np.linalg.svd(flatten(state, cut), full_matrices=False)
             factors[cut.block_a], factors[cut.block_b] = u[:, 0], vh[0, :]
         return factors[block]
@@ -957,7 +957,7 @@ def test_leading_factors_match_the_bipartition_flatten_reference_bit_for_bit():
             (g, share), w = got(block), want(block)
             assert g.shape == w.shape and g.tobytes() == w.tobytes(), (st.dims, block)
             # sigma_1 / ||t||_F, at every scale: sigma_1 of the normalized state's flattening
-            assert abs(share - np.linalg.svd(flatten(unit, Bipartition(n, block)), compute_uv=False)[0]) < 1e-14
+            assert abs(share - np.linalg.svd(flatten(unit, Bipartition.of(n, block)), compute_uv=False)[0]) < 1e-14
 
 
 def reference_monomial_quotient_dim(t):

@@ -40,7 +40,7 @@ def reference_cuts(state, tol=TOL):
 def reference_pi_product(state, partition, tol=TOL):
     n = state.n_subsystems
     return all(
-        numerical_rank(flatten(state, Bipartition(n, b)), tol) == 1 for b in partition.blocks if len(b) < n
+        numerical_rank(flatten(state, Bipartition.of(n, b)), tol) == 1 for b in partition.blocks if len(b) < n
     )
 
 
@@ -111,7 +111,7 @@ def test_scan_matches_exhaustive_svd_at_the_boundaries(side, scale):
             block = tuple(sorted(int(i) for i in rng.choice(n, size=int(rng.integers(1, n)), replace=False)))
             state = with_ratio(rng, dims, block, scale * side * TOL)
             assert_report_matches_reference(state)
-            cut = Bipartition(n, block)
+            cut = Bipartition.of(n, block)
             if scale == 1.0:  # the construction does sit on either side of tol
                 assert (cut in reference_cuts(state)) == (side < 1)
 
@@ -363,7 +363,7 @@ def test_a_fully_product_16_qubit_report_takes_one_global_residual(scan_counts):
     state = random_block_product(np.random.default_rng(22), (2,) * 16, [(i,) for i in range(16)])
     report = separability_report(state)
     assert len(report.product_bipartitions) == 2**15 - 1 and report.finest == Partition.discrete(16)
-    assert report.product_bipartitions[-1] == Bipartition(16, (0, *range(2, 16)))
+    assert report.product_bipartitions[-1] == Bipartition.of(16, (0, *range(2, 16)))
     assert scan_counts == {"global": 1, "vdot": 3}
 
 

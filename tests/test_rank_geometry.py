@@ -417,7 +417,7 @@ def test_secant_expected_dim_examples():
 
 def test_w_state_flattening_image():
     # the first-factor contraction image is span{|00>, |01> + |10>}
-    m = flatten(w_state(), Bipartition(3, (0,)))
+    m = flatten(w_state(), Bipartition.of(3, (0,)))
     assert numerical_rank(m) == 2
     assert np.allclose(m[0], [0, 1, 1, 0])
     assert np.allclose(m[1], [1, 0, 0, 0])

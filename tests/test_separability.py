@@ -128,7 +128,7 @@ def test_bipartitions_bounds():
 
 
 def test_bipartition_canonicalizes_to_contain_zero():
-    cut = Bipartition(3, (1, 2))
+    cut = Bipartition.of(3, (1, 2))
     assert cut.block_a == (0,)
 
 
@@ -205,7 +205,7 @@ def test_factor_extraction_recovers_projective_factors():
         vec = np.kron(vec, f)
     st = make_state([2, 3, 2], vec)
     for i, f in enumerate(factors):
-        cut = Bipartition(3, (i,))
+        cut = Bipartition.of(3, (i,))
         lift = incidence_lift(st, cut)
         basis = lift.ua_basis if set(cut.block_a) == {i} else lift.ub_basis
         assert basis.shape[1] == 1

@@ -36,7 +36,7 @@ def random_state(rng, dims):
     return make_state(dims, rng.standard_normal(n) + 1j * rng.standard_normal(n))
 
 
-CUT01 = Bipartition(2, (0,))
+CUT01 = Bipartition.of(2, (0,))
 
 
 # ------------------------------------------------------------- make_state
@@ -76,6 +76,44 @@ def test_make_state_does_not_normalize():
     assert st.coeffs[0] == 3
 
 
+# ------------------------------------------------------------ bipartitions
+
+
+def test_a_bipartition_is_its_mask_with_subsystem_0_in_block_a():
+    for n in range(2, 7):
+        full = 2**n - 1
+        for mask in (0, full, full + 1, 2**n, 2 ** (n + 1), -1):
+            with pytest.raises(ShapeMismatch):
+                Bipartition(n, mask)
+        for mask in range(1, full):
+            cut, complement = Bipartition(n, mask), Bipartition(n, full ^ mask)
+            assert cut.mask == (mask if mask & 1 else full ^ mask)
+            assert cut == complement and hash(cut) == hash(complement)
+            assert cut.block_a == tuple(i for i in range(n) if cut.mask >> i & 1)
+            assert cut.block_b == tuple(i for i in range(n) if i not in cut.block_a)
+    for n in (-1, 0, 1):
+        with pytest.raises(ShapeMismatch):
+            Bipartition(n, 1)
+
+
+def test_bipartition_of_a_block_ignores_order_and_repeats():
+    rng = np.random.default_rng(30)
+    for n in range(2, 7):
+        for mask in range(1, 2**n - 1):
+            block = [i for i in range(n) if mask >> i & 1]
+            shuffled = tuple(int(i) for i in rng.permutation(block + block[: int(rng.integers(0, len(block) + 1))]))
+            cut = Bipartition.of(n, shuffled)
+            assert cut == Bipartition(n, mask) and hash(cut) == hash(Bipartition(n, mask))
+            assert cut.block_a == (tuple(block) if mask & 1 else tuple(i for i in range(n) if i not in block))
+
+
+@pytest.mark.parametrize("n, block", [(3, ()), (3, (0, 1, 2)), (3, (2, 1, 0, 0)), (3, (0, 3)), (3, (-1,)), (1, (0,)), (0, ())])
+def test_bipartition_of_a_block_that_is_not_a_proper_subset_is_refused(n, block):
+    with pytest.raises(ShapeMismatch) as err:
+        Bipartition.of(n, block)
+    assert str(err.value) == f"block {block} is not a proper nonempty subset of range({n})"
+
+
 # ---------------------------------------------------------------- flatten
 
 
@@ -91,7 +129,7 @@ def test_flatten_two_qubit_coefficients():
 
 
 def test_flatten_is_a_read_only_complex_matrix():
-    m = flatten(random_state(np.random.default_rng(17), (2, 3, 2)), Bipartition(3, (1,)))
+    m = flatten(random_state(np.random.default_rng(17), (2, 3, 2)), Bipartition.of(3, (1,)))
     assert type(m) is np.ndarray and m.shape == (4, 3) and m.dtype == complex
     assert not m.flags.writeable
 
@@ -99,18 +137,18 @@ def test_flatten_is_a_read_only_complex_matrix():
 def test_flatten_product_is_outer_product():
     u = RNG.standard_normal(3) + 1j * RNG.standard_normal(3)
     v = RNG.standard_normal(4) + 1j * RNG.standard_normal(4)
-    m = flatten(make_state([3, 4], np.kron(u, v)), Bipartition(2, (0,)))
+    m = flatten(make_state([3, 4], np.kron(u, v)), Bipartition.of(2, (0,)))
     assert np.allclose(m, np.outer(u, v))
 
 
 def test_flatten_cut_mismatch():
     with pytest.raises(ShapeMismatch):
-        flatten(bell(), Bipartition(3, (0,)))
+        flatten(bell(), Bipartition.of(3, (0,)))
 
 
 def test_flatten_multipartite_grouping():
     st = random_state(RNG, (2, 3, 2))
-    m = flatten(st, Bipartition(3, (0, 2)))
+    m = flatten(st, Bipartition.of(3, (0, 2)))
     t = st.tensor()
     for i in range(2):
         for k in range(2):
@@ -252,7 +290,7 @@ def test_rank_oracle_agreement_on_random_states():
         dims = tuple(int(d) for d in rng.integers(2, 5, n))
         st = random_state(rng, dims)
         block = (0,) + tuple(i for i in range(1, n) if rng.random() < 0.5)
-        cut = Bipartition(n, block[: n - 1])
+        cut = Bipartition.of(n, block[: n - 1])
         m = flatten(st, cut)
         if max(m.shape) <= 8:
             assert numerical_rank(m) == minor_rank(m)
@@ -275,7 +313,7 @@ def test_local_invertible_invariance():
         g_a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         g_b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         moved = make_state(st.dims, np.kron(g_a, g_b) @ st.coeffs)
-        cut = Bipartition(2, (0,))
+        cut = Bipartition.of(2, (0,))
         assert numerical_rank(flatten(moved, cut)) == numerical_rank(flatten(st, cut))
 
 
@@ -307,7 +345,7 @@ def test_schmidt_contract_on_random_states():
         dims = tuple(int(d) for d in rng.integers(2, 4, n))
         st = random_state(rng, dims)
         block = (0,) + tuple(i for i in range(1, n) if rng.random() < 0.5)
-        cut = Bipartition(n, block[: n - 1])
+        cut = Bipartition.of(n, block[: n - 1])
         sd = schmidt_decompose(st, cut)
         assert abs(sum(s * s for s in sd.sigmas) - 1.0) <= 1e-10
         m = flatten(st.normalized(), cut)
@@ -333,7 +371,7 @@ def test_schmidt_records_input_norm():
 @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-160, 1e200, 1e300])
 def test_schmidt_is_scale_safe(scale):
     ghz = make_state([2, 2, 2], [scale] + [0] * 6 + [scale])
-    sd = schmidt_decompose(ghz, Bipartition(3, (0,)))
+    sd = schmidt_decompose(ghz, Bipartition.of(3, (0,)))
     assert len(sd.sigmas) == 2 and all(abs(s - 2**-0.5) <= 1e-12 for s in sd.sigmas)
     assert abs(sd.input_norm / (scale * np.sqrt(2)) - 1.0) <= 1e-12
 
@@ -422,14 +460,14 @@ def test_incidence_lift_rank_two_round_trip():
         m += np.kron(rng.standard_normal(3) + 1j * rng.standard_normal(3),
                      rng.standard_normal(3) + 1j * rng.standard_normal(3))
     st = make_state([3, 3], m)
-    lift = incidence_lift(st, Bipartition(2, (0,)))
+    lift = incidence_lift(st, Bipartition.of(2, (0,)))
     assert lift.rank == 2
-    target = flatten(st, Bipartition(2, (0,)))
+    target = flatten(st, Bipartition.of(2, (0,)))
     assert np.abs(reassemble_lift(lift) - target).max() / np.abs(target).max() < 1e-9
 
 
 def test_incidence_lift_w_state_image():
-    lift = incidence_lift(w_state(), Bipartition(3, (0,)))
+    lift = incidence_lift(w_state(), Bipartition.of(3, (0,)))
     assert lift.rank == 2
     expected = np.array([[1, 0, 0, 0], [0, 1, 1, 0]], dtype=complex) / np.array([[1], [np.sqrt(2)]])
     proj_expected = expected.T @ expected.conj()
@@ -447,8 +485,8 @@ def test_incidence_lift_product_state():
 def test_incidence_lift_span_is_projectively_unique():
     st = random_state(RNG, (3, 3))
     scaled = make_state(st.dims, (0.3 - 2j) * st.coeffs)
-    l1 = incidence_lift(st, Bipartition(2, (0,)))
-    l2 = incidence_lift(scaled, Bipartition(2, (0,)))
+    l1 = incidence_lift(st, Bipartition.of(2, (0,)))
+    l2 = incidence_lift(scaled, Bipartition.of(2, (0,)))
     p1 = l1.ua_basis @ l1.ua_basis.conj().T
     p2 = l2.ua_basis @ l2.ua_basis.conj().T
     assert np.abs(p1 - p2).max() < 1e-9
