@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadWord, NonFinite, NotCentral, OutOfRange, ShapeMismatch
-from .tensor_core import DEFAULT_RANK_TOL, SMALLEST_NORMAL, PureState, _frozen, _rank_one_test, make_state, unit_max_modulus
+from .tensor_core import DEFAULT_RANK_TOL, SMALLEST_NORMAL, PureState, _cross_tests, _frozen, make_state, unit_max_modulus
 
 WEYL_MAX_DIM = 64
 HOLONOMY_MAX_P = 8  # the loop holonomy acts in dimension p^2 <= WEYL_MAX_DIM
@@ -140,7 +140,7 @@ def is_local_operator(g: np.ndarray, d_a: int, d_b: int, tol: float = DEFAULT_RA
         raise ShapeMismatch(f"operator shape {g.shape} does not match ({d_a * d_b}, {d_a * d_b})")
     if not np.isfinite(g).all():
         raise NonFinite("operator has a non-finite entry")
-    rank_one = _rank_one_test(g.reshape(d_a, d_b, d_a, d_b), tol)
+    rank_one = _cross_tests(g.reshape(d_a, d_b, d_a, d_b), tol)[0]
     return rank_one(0b0101) or (d_a == d_b and rank_one(0b1001))
 
 

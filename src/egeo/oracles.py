@@ -3,8 +3,8 @@
 Each oracle reaches its answer by a route independent of the code it
 certifies: reconstruction and a full partition-lattice search against the
 cut scan, with each cut flattened here and decomposed once per state;
-monomial linear algebra (exact elimination over sparse rows) against the
-Schur-sum Hilbert function.
+a monomial count against the Schur-sum Hilbert function (its elimination
+never reduces a row of ad - bc times a monomial; ROADMAP.md plans an algebraic one).
 The reproduction battery and the tests import them from here; no other
 subcommand loads this module. References that only tests call (one
 partition's reconstruction test, the explicit Z/m solve against the
@@ -21,7 +21,7 @@ from math import prod
 
 import numpy as np
 
-from .separability import Partition, _labelled, _meet_labels
+from .separability import Partition, meet
 from .tensor_core import PureState, make_state
 
 
@@ -106,22 +106,20 @@ def brute_force_finest(state: PureState, tol: float = 1e-8) -> Partition:
     already refines is skipped: meeting with it changes nothing, whether
     it passes or not. A partition with a block whose sigma_1 share is
     below 1 - tol - SHARE_MARGIN fails without building its candidate.
-    The running meet is kept as one block label per subsystem.
     """
     n = state.n_subsystems
     reference = state.normalized().coeffs
     factor = _leading_factors(state)
     floor = 1.0 - tol - SHARE_MARGIN
-    labels, count = [0] * n, 1
+    finest = Partition.trivial(n)
     for blocks in set_partitions(n):
-        if sum(len({labels[i] for i in b}) for b in blocks) == count:
-            continue  # no label is split across blocks: the running meet refines this partition
+        if sum(len({finest.labels[i] for i in b}) for b in blocks) == max(finest.labels) + 1:
+            continue  # no block of the running meet is split across blocks: it refines this partition
         if any(factor(tuple(b))[1] < floor for b in blocks):
             continue  # some block's overlap bound is below 1 - tol: the partition fails
         if _reconstructs(reference, state.dims, blocks, factor, tol):
-            labels = _meet_labels(labels, (sum(1 << i for i in b) for b in blocks))
-            count = max(labels) + 1
-    return _labelled(labels)
+            finest = meet(finest, Partition.of(n, blocks))
+    return finest
 
 
 def monomial_quotient_dim(t: int) -> int:

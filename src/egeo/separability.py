@@ -16,7 +16,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import ShapeMismatch, TooLarge, WrongShape, ZeroState
-from .tensor_core import CERTIFY_MIN_TOL, DEFAULT_RANK_TOL, Bipartition, PureState, _cross_tests, _rank_one_test, make_state, numerical_rank, unit_max_modulus
+from .tensor_core import CERTIFY_MIN_TOL, DEFAULT_RANK_TOL, Bipartition, PureState, _cross_tests, make_state, numerical_rank, unit_max_modulus
 
 MAX_ENUM_SUBSYSTEMS = 16
 PENCIL_TOL = 1e-9
@@ -26,64 +26,75 @@ BATCH_ENTRIES = 2**15
 
 @dataclass(frozen=True)
 class Partition:
-    """A set partition of subsystem indices, blocks sorted by minimum."""
+    """A set partition of subsystem indices as block labels: labels[i] ranks i's block by least member."""
 
-    n_subsystems: int
-    blocks: tuple[tuple[int, ...], ...]
+    labels: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.n_subsystems
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        seen: list[int] = []
-        for b in blocks:
-            if not b:
-                raise ShapeMismatch("partition blocks must be nonempty")
-            seen.extend(b)
-        if sorted(seen) != list(range(n)):
-            raise ShapeMismatch(f"blocks {self.blocks} do not partition range({n})")
-        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=min)))
+        if not all(k == label for k, label in enumerate(dict.fromkeys(self.labels))):  # the k-th label to appear is k
+            raise ShapeMismatch(f"labels {self.labels} are not ranked by least member")
+
+    @classmethod
+    def of(cls, n: int, blocks) -> "Partition":
+        """The partition of range(n) into the given blocks, in any order."""
+        members = [sorted(b) for b in blocks]
+        if not all(members):
+            raise ShapeMismatch("partition blocks must be nonempty")
+        if sorted(i for b in members for i in b) != list(range(n)):
+            raise ShapeMismatch(f"blocks {blocks} do not partition range({n})")
+        rank = {i: k for k, b in enumerate(sorted(members)) for i in b}  # disjoint sorted blocks sort by least member
+        return cls(tuple(rank[i] for i in range(n)))
 
     @classmethod
     def trivial(cls, n: int) -> "Partition":
         """The single-block partition."""
-        return cls(n, (tuple(range(n)),))
+        return cls((0,) * n)
 
     @classmethod
     def discrete(cls, n: int) -> "Partition":
         """The all-singletons partition."""
-        return cls(n, tuple((i,) for i in range(n)))
+        return cls(tuple(range(n)))
+
+    @property
+    def n_subsystems(self) -> int:
+        return len(self.labels)
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks, each sorted, ordered by least member."""
+        blocks: dict[int, list[int]] = {}  # labels first appear in rank order
+        for i, label in enumerate(self.labels):
+            blocks.setdefault(label, []).append(i)
+        return tuple(map(tuple, blocks.values()))
 
     def __str__(self) -> str:
         return "|".join("".join(str(i) for i in b) for b in self.blocks)
 
 
-def _meet_labels(labels: list[int], masks: Iterable[int]) -> list[int]:
-    """Meet of a partition given as block labels with the cuts {mask, rest}, labelled by least member."""
-    cuts = tuple(masks)
-    keys: dict[tuple[int, ...], int] = {}
-    return [keys.setdefault((label, *[m >> i & 1 for m in cuts]), len(keys)) for i, label in enumerate(labels)]
+def _relabel(labels: Iterable[int], keys: Iterable) -> Partition:
+    """The subsystems that share both their label and their key, as blocks ranked by least member."""
+    seen: dict = {}
+    return Partition(tuple(seen.setdefault(pair, len(seen)) for pair in zip(labels, keys)))
 
 
-def _labelled(labels: list[int]) -> Partition:
-    blocks: dict[int, list[int]] = {}
-    for i, label in enumerate(labels):
-        blocks.setdefault(label, []).append(i)
-    return Partition(len(labels), tuple(map(tuple, blocks.values())))
+def _meet_cuts(n: int, masks: Iterable[int]) -> Partition:
+    """Meet of the cuts {mask, rest}: each subsystem is keyed by its packed bit column, one bit per cut."""
+    columns = np.packbits(np.fromiter(masks, np.int64) >> np.arange(n)[:, None] & 1, axis=1)
+    return _relabel((0,) * n, map(bytes, columns))
 
 
 def refines(p: Partition, q: Partition) -> bool:
-    """True iff every block of p is contained in some block of q: its members share one q label."""
+    """True iff every block of p is contained in some block of q: each p label meets one q label."""
     if p.n_subsystems != q.n_subsystems:
         raise ShapeMismatch("partitions are over different subsystem counts")
-    label = {i: k for k, block in enumerate(q.blocks) for i in block}
-    return all(label[i] == label[block[0]] for block in p.blocks for i in block)
+    return len(set(zip(p.labels, q.labels))) == len(set(p.labels))
 
 
 def meet(p: Partition, q: Partition) -> Partition:
     """Common refinement: all nonempty pairwise block intersections."""
     if p.n_subsystems != q.n_subsystems:
         raise ShapeMismatch("partitions are over different subsystem counts")
-    return _labelled(_meet_labels([0] * p.n_subsystems, (sum(1 << i for i in b) for b in p.blocks + q.blocks)))
+    return _relabel(p.labels, q.labels)
 
 
 def _cut_masks(n: int) -> range:
@@ -102,10 +113,8 @@ def is_pi_product(state: PureState, p: Partition, tol: float = DEFAULT_RANK_TOL)
     """True iff the state factors along every block of the partition."""
     if p.n_subsystems != state.n_subsystems:
         raise ShapeMismatch("partition does not match the state's subsystem count")
-    if len(p.blocks) == 1:
-        return True  # trivial partition: always product
-    rank_one = _rank_one_test(state.tensor(), tol)
-    return all(rank_one(sum(1 << i for i in block)) for block in p.blocks)
+    masks = [sum(1 << i for i, label in enumerate(p.labels) if label == k) for k in range(max(p.labels) + 1)]
+    return len(masks) == 1 or all(map(_cross_tests(state.tensor(), tol)[0], masks))  # the trivial partition is product
 
 
 def _product_cuts(state: PureState, tol: float) -> Iterator[int]:
@@ -128,7 +137,7 @@ def _product_cuts(state: PureState, tol: float) -> Iterator[int]:
 def finest_product_partition(state: PureState, tol: float = DEFAULT_RANK_TOL) -> Partition:
     """Meet of all bipartitions along which the state is product."""
     n = state.n_subsystems
-    return _labelled(_meet_labels([0] * n, _product_cuts(state, tol) if n > 1 else ()))
+    return _meet_cuts(n, _product_cuts(state, tol) if n > 1 else ())
 
 
 def is_gme(state: PureState, tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -148,11 +157,9 @@ class SeparabilityReport:
 def separability_report(state: PureState, tol: float = DEFAULT_RANK_TOL) -> SeparabilityReport:
     """Finest product partition, the product cuts, and the GME verdict."""
     n = state.n_subsystems
-    if n == 1:  # no cuts, and GME needs two subsystems
-        return SeparabilityReport(Partition.trivial(1), (), False)
-    masks = list(_product_cuts(state, tol))
+    masks = list(_product_cuts(state, tol)) if n > 1 else []
     cuts = tuple(Bipartition(n, mask) for mask in masks)
-    return SeparabilityReport(_labelled(_meet_labels([0] * n, masks)), cuts, not cuts)
+    return SeparabilityReport(_meet_cuts(n, masks), cuts, n > 1 and not cuts)  # GME needs two subsystems
 
 
 def flattening_lower_bound(state: PureState, tol: float = DEFAULT_RANK_TOL) -> int:
@@ -264,7 +271,7 @@ def rank_2x2x2(state: PureState, tol: float = DEFAULT_RANK_TOL) -> int:
     """
     if state.dims != (2, 2, 2):
         raise WrongShape(f"exact rank implemented only for dims (2,2,2), got {state.dims}")
-    products = sum(map(_rank_one_test(state.tensor(), tol), _cut_masks(3)))
+    products = sum(map(_cross_tests(state.tensor(), tol)[0], _cut_masks(3)))
     if products == 3:
         return 1
     if products:

@@ -197,11 +197,6 @@ def numerical_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     return _rank_of(s, tol)
 
 
-def _rank_one_test(t: np.ndarray, tol: float) -> Callable[[int], bool]:
-    """The test "is the flattening of the n-axis array t along this cut (a bitmask) rank 1?" (see `_cross_tests`)."""
-    return _cross_tests(t, tol)[0]
-
-
 def _cross_tests(t: np.ndarray, tol: float) -> tuple[Callable[[int], bool], Callable[[], bool]]:
     """(rank_one, every_cut): the test "is the flattening of the n-axis array t
     along this cut (a bitmask) rank 1?", and a proof that every flattening is.

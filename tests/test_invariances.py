@@ -60,7 +60,7 @@ def cases():
         dims = (2,) * n if trial % 2 else tuple(int(d) for d in rng.integers(2, 4, n))
         blocks = random_blocks(rng, n)
         state = random_block_product(rng, dims, blocks)
-        planted = Partition(n, tuple(blocks))
+        planted = Partition.of(n, tuple(blocks))
         expected = brute_force_finest(state) if n <= BRUTE_FORCE_MAX_N else planted
         assert expected == planted
         out.append((trial, state, expected))
@@ -68,7 +68,7 @@ def cases():
 
 
 def relabelled(p: Partition, new_index) -> Partition:
-    return Partition(p.n_subsystems, tuple(tuple(int(new_index[i]) for i in b) for b in p.blocks))
+    return Partition.of(p.n_subsystems, tuple(tuple(int(new_index[i]) for i in b) for b in p.blocks))
 
 
 def test_rescaling_leaves_the_finest_partition_unchanged(cases):
@@ -162,7 +162,7 @@ def test_svd_decided_cut_scan_holds_at_every_scale():
     # Below the certificates' smallest tolerance the SVD decides every cut.
     for scale in EXTREME_SCALES:
         state = make_state([2, 2, 2], np.kron([1, 1.0], BELL) * scale)
-        assert separability_report(state, 1e-12).finest == Partition(3, ((0,), (1, 2))), scale
+        assert separability_report(state, 1e-12).finest == Partition.of(3, ((0,), (1, 2))), scale
 
 
 def test_verdicts_hold_when_an_entry_modulus_overflows():

@@ -7,8 +7,8 @@ flattens each cut itself, with no `Bipartition` and no `flatten`.
 `d_product_oracle` computes each predicted grid value's candidate list
 (the eigenvalues within the match bound, nearest first) once per
 spectrum, shared with its mirror, and skips a column whose value in some
-row slot has no candidate. `meet` folds block masks into one label per
-subsystem, and `refines` reads the block labels of q. `minor_rank` takes its subset
+row slot has no candidate. `meet` relabels each subsystem by its pair of
+block labels, and `refines` counts those pairs. `minor_rank` takes its subset
 indices from a cached read-only table, and `monomial_quotient_dim`
 eliminates over sparse rows. None may change a verdict, a witness or a
 dimension: the references below are the code as it was before, with the
@@ -33,6 +33,7 @@ to the SVD forms they had before, near the tolerance and at every scale.
 import cmath
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 from math import prod
 from types import SimpleNamespace
@@ -71,7 +72,7 @@ from egeo import modular, oracles, spectral_satake, tensor_core
 from egeo.cech_brauer import _coboundary_matrix
 from egeo.errors import NonFinite, OutOfRange, WrongSize, ZeroState
 from egeo.oracles import _leading_factors, brute_force_finest, monomial_quotient_dim, random_block_product, set_partitions
-from egeo.separability import _labelled, _meet_labels
+from egeo.separability import _meet_cuts
 from egeo.spectral_satake import SPECTRAL_TOL, _bipartite_splits, _greedy_match, _match_entry, _relations_22
 from egeo.separability import PENCIL_TOL
 from egeo.tensor_core import CERTIFY_MIN_TOL, DEFAULT_RANK_TOL, unit_max_modulus
@@ -95,7 +96,7 @@ def reference_meet(p, q):
             both = tuple(sorted(set(b) & set(c)))
             if both:
                 blocks.append(both)
-    return Partition(p.n_subsystems, tuple(blocks))
+    return Partition.of(p.n_subsystems, tuple(blocks))
 
 
 def reference_reconstructs(reference, dims, partition, factor, tol):
@@ -117,7 +118,7 @@ def reference_brute_force_finest(state, tol=1e-8):
     factor = reference_leading_factors(state)
     finest = Partition.trivial(n)
     for blocks in set_partitions(n):
-        p = Partition(n, tuple(tuple(b) for b in blocks))
+        p = Partition.of(n, tuple(tuple(b) for b in blocks))
         if reference_reconstructs(reference, state.dims, p, factor, tol):
             finest = reference_meet(finest, p)
     return finest
@@ -259,18 +260,45 @@ def test_d_product_oracle_computes_each_predicted_value_once_per_spectrum(monkey
 # ------------------------------------------------------------- meet and refines
 
 
+@cache
+def lattice(n):
+    """Every partition of range(n), in set_partitions order."""
+    return tuple(Partition.of(n, blocks) for blocks in set_partitions(n))
+
+
 def test_label_meet_matches_the_set_intersection_reference_on_every_pair():
-    # The fold from p's own labels is brute_force_finest's running meet.
+    # meet is also brute_force_finest's running meet.
     for n in range(1, 7):
-        parts = [Partition(n, tuple(tuple(b) for b in blocks)) for blocks in set_partitions(n)]
-        masks = {p: [sum(1 << i for i in b) for b in p.blocks] for p in parts}
+        parts = lattice(n)
         for p in parts:
-            labels = _meet_labels([0] * n, masks[p])
             for q in parts:
-                expected = reference_meet(p, q)
-                assert meet(p, q) == expected
-                assert _labelled(_meet_labels(labels, masks[q])) == expected
+                assert meet(p, q) == reference_meet(p, q)
                 assert refines(p, q) == reference_refines(p, q)
+
+
+def reference_meet_cuts(n, masks):
+    """reference_meet folded over each cut's two blocks {mask, rest}."""
+    finest = Partition.trivial(n)
+    for mask in masks:
+        cut = [i for i in range(n) if mask >> i & 1]
+        finest = reference_meet(finest, Partition.of(n, (cut, sorted(set(range(n)) - set(cut)))))
+    return finest
+
+
+def test_cut_fold_matches_the_reference_meet_fold():
+    # The scan's fold of its product cuts: no cuts, repeated cuts, random subsets, and every cut up to n = 10.
+    rng = np.random.default_rng(31)
+    for n in range(1, 17):
+        every = range(1, 2**n - 1, 2)
+        cases = [[]] + ([[every[0]] * 3, [every[-1], every[0], every[-1]]] if n > 1 else []) + ([list(every)] if 1 < n <= 10 else [])
+        for _ in range(12 if n > 1 else 0):
+            k = int(rng.integers(1, min(len(every), 2 * n) + 1))
+            picked = [int(m) for m in rng.choice(every, size=k)]
+            cases.append(picked + picked[: k // 2])
+        for masks in cases:
+            assert _meet_cuts(n, masks) == reference_meet_cuts(n, masks), (n, masks)
+    # Every cut at n = 16: the cuts {0} and {0, j} already separate every pair.
+    assert _meet_cuts(16, range(1, 2**16 - 1, 2)) == Partition.discrete(16)
 
 
 def test_lattice_operations_reject_mismatched_subsystem_counts():
@@ -296,7 +324,7 @@ def planted_states(rng, count):
         st = random_block_product(rng, dims, blocks)
         eps = levels[trial % len(levels)]
         noise = rng.standard_normal(st.coeffs.size) + 1j * rng.standard_normal(st.coeffs.size)
-        yield make_state(dims, st.coeffs + eps * np.linalg.norm(st.coeffs) * noise), Partition(n, tuple(blocks)), eps
+        yield make_state(dims, st.coeffs + eps * np.linalg.norm(st.coeffs) * noise), Partition.of(n, tuple(blocks)), eps
 
 
 def test_brute_force_finest_matches_the_unskipped_reference():
@@ -745,7 +773,7 @@ def test_random_block_product_matches_the_kron_reference_bit_for_bit():
 
 # ------------------------------------------------------------- the rank-1 test for operators and 2x2x2 states
 # `is_local_operator` and `rank_2x2x2` ask the certified cut test
-# (`tensor_core._rank_one_test`); the references are the SVD forms they
+# (`tensor_core._cross_tests`); the references are the SVD forms they
 # replaced, verbatim.
 
 

@@ -134,7 +134,7 @@ def test_ghz_is_gme_at_any_scale(scale):
     ghz = make_state([2, 2, 2], np.array([1, 0, 0, 0, 0, 0, 0, 1]) * scale)
     assert_report_matches_reference(ghz)
     assert separability_report(ghz).gme
-    assert not is_pi_product(ghz, Partition(3, ((0,), (1, 2))))
+    assert not is_pi_product(ghz, Partition.of(3, ((0,), (1, 2))))
 
 
 @pytest.mark.parametrize("tol", [0.0, 1.0, 1.5, float("nan")])
@@ -151,7 +151,7 @@ def test_is_pi_product_matches_reference():
     for state in planted_states(seed=410, count=60, qutrits=True):
         n = state.n_subsystems
         for _ in range(4):
-            p = Partition(n, tuple(random_blocks(rng, n)))
+            p = Partition.of(n, tuple(random_blocks(rng, n)))
             assert is_pi_product(state, p) == reference_pi_product(state, p)
 
 
@@ -181,7 +181,7 @@ def test_clear_operator_and_2x2x2_verdicts_need_no_svd(monkeypatch):
     assert is_local_operator(np.kron(a, b), 2, 2)
     assert rank_2x2x2(generic) in (2, 3) and rank_2x2x2(w_state()) == 3
     # Block {1} does not hold subsystem 0, yet its flattening keeps subsystem 0's side {0, 2} as rows.
-    product, blocks = make_state([2, 3, 4], np.kron(np.kron([1, 2], [1, -1, 3]), [2, 0, 1, 5])), Partition(3, ((0, 2), (1,)))
+    product, blocks = make_state([2, 3, 4], np.kron(np.kron([1, 2], [1, -1, 3]), [2, 0, 1, 5])), Partition.of(3, ((0, 2), (1,)))
     assert is_pi_product(product, blocks)
     assert calls == []
     # Below the certified tolerance the SVD decides: two cuts for the shift, one for the product, three for W,

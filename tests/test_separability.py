@@ -20,6 +20,7 @@ from egeo import (
     refines,
     separability_report,
 )
+from egeo import separability
 from egeo.oracles import _leading_factors, _reconstructs, brute_force_finest, random_block_product, set_partitions
 
 RNG = np.random.default_rng(13)
@@ -53,42 +54,60 @@ P = Partition
 
 
 def test_partition_canonical_form():
-    p = P(4, ((2, 3), (1,), (0,)))
+    p = P.of(4, ((2, 3), (1,), (0,)))
     assert p.blocks == ((0,), (1,), (2, 3))
     assert str(p) == "0|1|23"
 
 
 def test_partition_validation():
-    with pytest.raises(ShapeMismatch):
-        P(3, ((0, 1),))
-    with pytest.raises(ShapeMismatch):
-        P(3, ((0, 1), (1, 2)))
-    with pytest.raises(ShapeMismatch):
-        P(2, ((0, 1), ()))
+    with pytest.raises(ShapeMismatch, match=r"^blocks \(\(0, 1\),\) do not partition range\(3\)$"):
+        P.of(3, ((0, 1),))
+    with pytest.raises(ShapeMismatch, match=r"^blocks \(\(0, 1\), \(1, 2\)\) do not partition range\(3\)$"):
+        P.of(3, ((0, 1), (1, 2)))
+    with pytest.raises(ShapeMismatch, match=r"^partition blocks must be nonempty$"):
+        P.of(2, ((0, 1), ()))
+
+
+def test_partition_labels_must_rank_blocks_by_least_member():
+    # A first label other than 0, a skipped value, a negative entry.
+    for labels in ((1,), (1, 0), (0, 2), (0, 1, 3, 2), (0, -1), (-1, 0), (0, 0, 1, -2)):
+        with pytest.raises(ShapeMismatch):
+            P(labels)
+    for labels in ((), (0,), (0, 0, 0), (0, 1, 0, 2, 1), (0, 1, 2, 3)):
+        assert P(labels).labels == labels
+
+
+def test_partition_reads_blocks_off_its_labels():
+    p = P((0, 1, 0, 2))
+    assert (p.n_subsystems, p.blocks, str(p)) == (4, ((0, 2), (1,), (3,)), "02|1|3")
+    assert P.trivial(3).labels == (0, 0, 0) and P.discrete(3).labels == (0, 1, 2)
+    for blocks in set_partitions(5):
+        p = P.of(5, [b[::-1] for b in reversed(blocks)])
+        assert p.blocks == tuple(map(tuple, blocks)) and P(p.labels) == p
 
 
 def test_refines_examples():
-    assert refines(P(3, ((0,), (1,), (2,))), P(3, ((0,), (1, 2))))
-    assert not refines(P(3, ((0,), (1, 2))), P(3, ((1,), (0, 2))))
-    p = P(3, ((0, 1), (2,)))
+    assert refines(P.of(3, ((0,), (1,), (2,))), P.of(3, ((0,), (1, 2))))
+    assert not refines(P.of(3, ((0,), (1, 2))), P.of(3, ((1,), (0, 2))))
+    p = P.of(3, ((0, 1), (2,)))
     assert refines(p, p)
 
 
 def test_refines_shape_mismatch():
     with pytest.raises(ShapeMismatch):
-        refines(P(2, ((0,), (1,))), P(3, ((0, 1, 2),)))
+        refines(P.of(2, ((0,), (1,))), P.of(3, ((0, 1, 2),)))
 
 
 def test_meet_examples():
-    assert meet(P(3, ((0,), (1, 2))), P(3, ((1,), (0, 2)))) == P.discrete(3)
-    p = P(4, ((0, 1), (2, 3)))
+    assert meet(P.of(3, ((0,), (1, 2))), P.of(3, ((1,), (0, 2)))) == P.discrete(3)
+    p = P.of(4, ((0, 1), (2, 3)))
     assert meet(p, p) == p
-    assert meet(P(4, ((0, 1), (2, 3))), P(4, ((0, 2), (1, 3)))) == P.discrete(4)
+    assert meet(P.of(4, ((0, 1), (2, 3))), P.of(4, ((0, 2), (1, 3)))) == P.discrete(4)
 
 
 def test_meet_lattice_properties_exhaustive():
     # commutative, associative, idempotent, glb; N = 4 exhaustively
-    parts = [P(4, tuple(tuple(b) for b in blocks)) for blocks in set_partitions(4)]
+    parts = [P.of(4, tuple(tuple(b) for b in blocks)) for blocks in set_partitions(4)]
     for p in parts:
         assert meet(p, p) == p
         assert refines(p, p)
@@ -103,7 +122,7 @@ def test_meet_lattice_properties_exhaustive():
 
 
 def test_refines_is_partial_order_n5():
-    parts = [P(5, tuple(tuple(b) for b in blocks)) for blocks in set_partitions(5)]
+    parts = [P.of(5, tuple(tuple(b) for b in blocks)) for blocks in set_partitions(5)]
     for p in parts:
         for q in parts:
             if refines(p, q) and refines(q, p):
@@ -136,18 +155,18 @@ def test_is_pi_product_examples():
     basis = make_state([2, 2, 2, 2], [1] + [0] * 15)
     assert is_pi_product(basis, P.discrete(4))
     st = block_example()
-    assert is_pi_product(st, P(4, ((0,), (1,), (2, 3))))
+    assert is_pi_product(st, P.of(4, ((0,), (1,), (2, 3))))
     assert not is_pi_product(st, P.discrete(4))
     assert is_pi_product(st, P.trivial(4))
     w = make_state([2, 2, 2], [0, 1, 1, 0, 1, 0, 0, 0])
     for cut in bipartitions(3):
-        assert not is_pi_product(w, P(3, (cut.block_a, cut.block_b)))
+        assert not is_pi_product(w, P.of(3, (cut.block_a, cut.block_b)))
 
 
 def test_finest_product_partition_examples():
     basis = make_state([2, 2, 2, 2], [1] + [0] * 15)
     assert finest_product_partition(basis) == P.discrete(4)
-    assert finest_product_partition(block_example()) == P(4, ((0,), (1,), (2, 3)))
+    assert finest_product_partition(block_example()) == P.of(4, ((0,), (1,), (2, 3)))
     assert finest_product_partition(ghz3()) == P.trivial(3)
 
 
@@ -171,7 +190,7 @@ def test_finest_is_product_and_characterizes_all_partitions():
         star = finest_product_partition(st)
         assert is_pi_product(st, star)
         for raw in set_partitions(n):
-            rho = P(n, tuple(tuple(b) for b in raw))
+            rho = P.of(n, tuple(tuple(b) for b in raw))
             assert is_pi_product(st, rho) == refines(star, rho)
 
 
@@ -179,20 +198,20 @@ def test_three_party_two_cuts_implies_fully_product():
     rng = np.random.default_rng(31)
     for _ in range(10):
         st = random_block_product(rng, (2, 3, 2), [(0,), (1,), (2,)])
-        product_cuts = [c for c in bipartitions(3) if is_pi_product(st, P(3, (c.block_a, c.block_b)))]
+        product_cuts = [c for c in bipartitions(3) if is_pi_product(st, P.of(3, (c.block_a, c.block_b)))]
         assert len(product_cuts) == 3
         assert finest_product_partition(st) == P.discrete(3)
     # if any state is product along two distinct cuts, the meet forces full product
     for _ in range(10):
         st = random_block_product(rng, (2, 2, 2), [(0,), (1, 2)])
-        cuts = [c for c in bipartitions(3) if is_pi_product(st, P(3, (c.block_a, c.block_b)))]
+        cuts = [c for c in bipartitions(3) if is_pi_product(st, P.of(3, (c.block_a, c.block_b)))]
         assert len(cuts) == 1  # entangled pair blocks exactly one cut
 
 
 def test_four_party_two_cuts_do_not_imply_fully_product():
     st = block_example()
-    in_0_rest = is_pi_product(st, P(4, ((0,), (1, 2, 3))))
-    in_1_rest = is_pi_product(st, P(4, ((1,), (0, 2, 3))))
+    in_0_rest = is_pi_product(st, P.of(4, ((0,), (1, 2, 3))))
+    in_1_rest = is_pi_product(st, P.of(4, ((1,), (0, 2, 3))))
     assert in_0_rest and in_1_rest
     assert not is_pi_product(st, P.discrete(4))
 
@@ -216,7 +235,7 @@ def test_factor_extraction_recovers_projective_factors():
 def test_separability_report_consistency():
     rep = separability_report(block_example())
     assert not rep.gme
-    assert rep.finest == P(4, ((0,), (1,), (2, 3)))
+    assert rep.finest == P.of(4, ((0,), (1,), (2, 3)))
     # cuts along block unions: 0|123, 1|023 (canonical 023), 01|23
     assert len(rep.product_bipartitions) == 3
     rep_ghz = separability_report(ghz3())
@@ -235,7 +254,7 @@ def planted_states(rng, count):
         st = random_block_product(rng, dims, blocks)
         eps = (0.0, 1e-12, 1e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7, 1e-6)[trial % 9]
         noise = rng.standard_normal(st.coeffs.size) + 1j * rng.standard_normal(st.coeffs.size)
-        yield make_state(dims, st.coeffs + eps * np.linalg.norm(st.coeffs) * noise), P(n, tuple(blocks)), eps
+        yield make_state(dims, st.coeffs + eps * np.linalg.norm(st.coeffs) * noise), P.of(n, tuple(blocks)), eps
 
 
 def test_brute_force_finest_is_the_meet_of_partitions_tested_one_by_one():
@@ -246,7 +265,7 @@ def test_brute_force_finest_is_the_meet_of_partitions_tested_one_by_one():
         n = st.n_subsystems
         expected = P.trivial(n)
         for raw in set_partitions(n):
-            rho = P(n, tuple(tuple(b) for b in raw))
+            rho = P.of(n, tuple(tuple(b) for b in raw))
             if pi_product_by_reconstruction(st, rho):
                 expected = meet(expected, rho)
         assert brute_force_finest(st) == expected
@@ -258,9 +277,11 @@ def test_oracles_do_not_use_the_rank_counting_route(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("an oracle called the rank-counting route")
 
+    cross_tests = separability._cross_tests
+
     for name, module in list(sys.modules.items()):
         if name == "egeo" or name.startswith("egeo."):
-            for attr in ("numerical_rank", "_rank_one_test", "finest_product_partition"):
+            for attr in ("numerical_rank", "_cross_tests", "finest_product_partition"):
                 if attr in vars(module):
                     monkeypatch.setattr(module, attr, forbidden)
     rng = np.random.default_rng(53)
@@ -268,3 +289,5 @@ def test_oracles_do_not_use_the_rank_counting_route(monkeypatch):
         brute_force_finest(st)
         pi_product_by_reconstruction(st, P.discrete(st.n_subsystems))
     assert minor_rank(rng.standard_normal((4, 5))) == 4
+    # The report below is the rank-1 route itself; numerical_rank stays forbidden there.
+    monkeypatch.setattr(separability, "_cross_tests", cross_tests)
