@@ -217,7 +217,11 @@ def _cross_tests(t: np.ndarray, tol: float) -> tuple[Callable[[int], bool], Call
     the n-axis array, unflattened, after dividing by the pivot's modulus:
     with entries of modulus at most 1 no square overflows and the pivot's
     does not underflow, whatever the scale of t.  The SVD sees the same
-    rescaled entries.
+    rescaled entries.  Each closure writes R into one array of its own and
+    rejects first from R's real and imaginary parts, the extremes of that
+    array's float view, with no moduli formed: |R_ij| >= max(|Re R_ij|,
+    |Im R_ij|), so a part beyond the bound proves the modulus test, which
+    runs only when no part is.
 
     every_cut() is True when one global residual proves sigma_2 <= tol/2
     sigma_1 on every cut at once, rank_one's accept band.  A =
@@ -241,13 +245,15 @@ def _cross_tests(t: np.ndarray, tol: float) -> tuple[Callable[[int], bool], Call
     norm = np.linalg.norm(t)
     reject = 4.0 * tol * norm
     certify = tol >= CERTIFY_MIN_TOL and pivot != 0
+    r = np.empty(t.shape, dtype=complex)
+    parts = r.view(float)
 
     def rank_one(mask: int) -> bool:
         if certify:
             col = t[tuple(free if mask >> i & 1 else fixed[i] for i in range(n))]
             row = t[tuple(fixed[i] if mask >> i & 1 else free for i in range(n))]
-            r = t - col * (row / pivot)
-            if np.abs(r).max() > reject:
+            np.subtract(t, np.multiply(col, row / pivot, out=r), out=r)
+            if parts.max() > reject or parts.min() < -reject or np.abs(r).max() > reject:
                 return False
             if np.vdot(r, r).real <= (0.5 * tol) ** 2 * max(np.vdot(col, col).real, np.vdot(row, row).real):
                 return True
@@ -257,7 +263,7 @@ def _cross_tests(t: np.ndarray, tol: float) -> tuple[Callable[[int], bool], Call
         if not certify:
             return False
         a = _cross_product(t, at)
-        delta = np.linalg.norm(t - a) + 2 * n * EPS * np.linalg.norm(a)
+        delta = np.linalg.norm(np.subtract(t, a, out=r)) + 2 * n * EPS * np.linalg.norm(a)
         return bool(delta <= 0.5 * tol * (norm - 2 * delta))
 
     return rank_one, every_cut

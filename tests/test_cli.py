@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import pytest
 import egeo
 from egeo import ShapeMismatch
 from egeo.cli import _square_split, run
+from egeo.tensor_core import SMALLEST_NORMAL
 
 BELL = {"dims": [2, 2], "coeffs": [[2**-0.5, 0], [0, 0], [0, 0], [2**-0.5, 0]]}
 W = {"dims": [2, 2, 2], "coeffs": [[0, 0], [1, 0], [1, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0]]}
@@ -252,6 +254,21 @@ def test_spinchain_at_extreme_scales_gives_the_ground_state_at_energy_minus_j(j,
     out = json.loads(done.stdout)["outputs"]
     assert block_residual(out, float(j)) <= 1e-15
     assert out["ground_state"][2:] == [[0.0, 0.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("theta_u", [1e-3, 1.0, 3.0])
+@pytest.mark.parametrize("j", [SMALLEST_NORMAL, 2 * SMALLEST_NORMAL])
+def test_spinchain_hopping_entries_at_the_least_j_keep_their_phase(capsys, j, theta_u):
+    # At J = 2.2e-308 and theta_u = 1e-3 the imaginary parts are subnormal (about 5.6e-312): J u^(1/4) and
+    # J / u^(1/4) must still be -J e^(+-i theta_u/4) to within two subnormal spacings (2 * 5e-324).
+    code = run(["spinchain", f"--j={j!r}", "--delta=1", f"--theta-u={theta_u!r}"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    hamiltonian = json.loads(captured.out)["outputs"]["hamiltonian"]
+    cos, sin = j * math.cos(theta_u / 4), j * math.sin(theta_u / 4)
+    expected = {(0, 1): (-cos, -sin), (1, 0): (-cos, sin)}
+    for (row, col), parts in expected.items():
+        assert np.abs(np.subtract(hamiltonian[row][col], parts)).max() <= 2 * 5e-324, (row, col, parts)
 
 
 def test_block_residual_sees_a_state_that_is_not_the_ground_state():

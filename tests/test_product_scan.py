@@ -206,6 +206,75 @@ def test_a_rejected_cut_pays_for_no_accept_test(monkeypatch):
     assert calls == []
 
 
+def with_off_fiber_entry(state, tol):
+    """The state plus c e_x, c = 1.2 * 4 tol ||T||_F e^(i pi/4), x differing from the max-modulus entry in every index.
+
+    Along a cut that is a union of the state's blocks the pivot's row and column miss x, so the cross residual
+    is c e_x to rounding: its modulus is 1.2 times the reject bound 4 tol ||T||_F, its parts 0.85 times it.
+    """
+    t = state.tensor().copy()
+    at = np.unravel_index(int(np.argmax(np.abs(t))), t.shape)
+    t[tuple((i + 1) % d for i, d in zip(at, t.shape))] += 1.2 * 4 * tol * np.linalg.norm(t) * np.exp(0.25j * np.pi)
+    return make_state(state.dims, t.ravel())
+
+
+def residual_extremes(state, cut, tol):
+    """(largest |Re R| or |Im R|, largest |R|) of the cut's rank-1 cross residual, in units of 4 tol ||T||_F."""
+    m = flatten(state, cut)
+    m = m / np.abs(m).max()
+    i, j = np.unravel_index(int(np.argmax(np.abs(m))), m.shape)
+    r = m - np.outer(m[:, j], m[i, :] / m[i, j])
+    bound = 4 * tol * np.linalg.norm(m)
+    return max(np.abs(r.real).max(), np.abs(r.imag).max()) / bound, np.abs(r).max() / bound
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_a_residual_past_the_bound_in_modulus_only_is_rejected_with_no_svd(monkeypatch, tol):
+    # The reject test reads R's real and imaginary parts first and its moduli only when no part is past the
+    # bound; these cuts need the moduli. Without them they would reach the SVD, with the same verdict.
+    calls = []
+    monkeypatch.setattr(tensor_core, "numerical_rank", lambda *a: calls.append(a) or numerical_rank(*a))
+    rng = np.random.default_rng(34)
+    cases = [((2, 3, 2, 2, 3, 2), [(0,), (1, 3), (2, 4, 5)]), ((2,) * 7, [(i,) for i in range(7)])]
+    for dims, blocks in cases:
+        base = with_off_fiber_entry(random_block_product(rng, dims, blocks), tol)
+        band = [c for c in bipartitions(len(dims)) if all(len(set(b) & set(c.block_a)) in (0, len(b)) for b in blocks)]
+        assert len(band) == 2 ** (len(blocks) - 1) - 1
+        for cut in band:
+            parts, modulus = residual_extremes(base, cut, tol)
+            assert parts < 0.9 and modulus > 1.1, (cut, parts, modulus)
+        for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+            state = make_state(dims, base.coeffs * scale)
+            report = separability_report(state, tol)
+            assert calls == []
+            assert report.gme and report.product_bipartitions == tuple(reference_cuts(state, tol)) == ()
+
+
+def test_two_closures_used_by_turns_keep_their_own_residuals():
+    # rank_one writes R, and every_cut T - A, into an array of its own closure's; closures called in turn,
+    # on states of different shapes and verdicts, must answer as a fresh closure does for each call.
+    rng = np.random.default_rng(35)
+    a, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    swap = np.eye(9)[[3 * (k % 3) + k // 3 for k in range(9)]]
+    generic = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    ops = {"local": np.kron(a, b), "swapped": np.kron(a, b) @ swap, "generic": generic}
+    planted = random_block_product(rng, (2, 3, 3, 2), [(0, 2), (1, 3)])
+    product = random_block_product(rng, (3, 2, 2, 3), [(0,), (1,), (2,), (3,)])
+    arrays = [g.reshape(3, 3, 3, 3) for g in ops.values()] + [planted.tensor(), product.tensor()]
+    closures = [tensor_core._cross_tests(t, TOL) for t in arrays]
+    for mask in (0b0011, 0b0101, 0b1001, 0b0001, 0b0111):
+        for t, (rank_one, every_cut) in zip(arrays, closures):
+            fresh_one, fresh_every = tensor_core._cross_tests(t, TOL)
+            assert rank_one(mask) == fresh_one(mask)
+            assert every_cut() == fresh_every()
+    # is_local_operator asks its two cuts of one closure; each verdict is the fresh closure's.
+    for name, g in ops.items():
+        verdicts = [tensor_core._cross_tests(g.reshape(3, 3, 3, 3), TOL)[0](m) for m in (0b0101, 0b1001)]
+        assert verdicts == {"local": [True, False], "swapped": [False, True], "generic": [False, False]}[name]
+        assert is_local_operator(g, 3, 3) == any(verdicts)
+    assert [every_cut() for _, every_cut in closures] == [False, False, False, False, True]
+
+
 def test_product_cuts_fold_into_one_partition(monkeypatch):
     # A fully product 9-qubit state has 255 product cuts; folding them with
     # meet would build a Partition per cut and per meet.
