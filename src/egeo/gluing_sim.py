@@ -80,10 +80,11 @@ def _scalar_value(mat: np.ndarray) -> complex | None:
 
 
 def proj_equal(g: np.ndarray, h: np.ndarray) -> bool:
-    """Projective equality: rescale both by the same max-modulus entry and compare."""
+    """Projective equality of finite operators: scale both to max modulus 1, divide each by its entry at g's largest, compare."""
     ga, ha = np.asarray(g, dtype=complex), np.asarray(h, dtype=complex)
-    if ga.shape != ha.shape:
+    if ga.shape != ha.shape or not (np.isfinite(ga).all() and np.isfinite(ha).all()):
         return False
+    ga, ha = unit_max_modulus(ga), unit_max_modulus(ha)
     pos = np.unravel_index(np.argmax(np.abs(ga)), ga.shape)
     if abs(ha[pos]) < PROJ_TOL * np.abs(ha).max():
         return False

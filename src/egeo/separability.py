@@ -16,7 +16,9 @@ from math import sqrt
 import numpy as np
 
 from .errors import ShapeMismatch, TooLarge, WrongShape, ZeroState
-from .tensor_core import CERTIFY_MIN_TOL, DEFAULT_RANK_TOL, Bipartition, PureState, _cross_tests, make_state, numerical_rank, unit_max_modulus
+from .tensor_core import (
+    CERTIFY_MIN_TOL, DEFAULT_RANK_TOL, Bipartition, PureState, _cross_tests, _cut_axes, make_state, numerical_rank, unit_max_modulus
+)
 
 MAX_ENUM_SUBSYSTEMS = 16
 PENCIL_TOL = 1e-9
@@ -168,16 +170,16 @@ def flattening_lower_bound(state: PureState, tol: float = DEFAULT_RANK_TOL) -> i
     A cut's rank is at most min(D_A, D_B), so the cuts (bitmasks) are
     visited by descending min(D_A, D_B), in a stable order, and the scan
     stops at the first one that cannot exceed the running max k.  For tol
-    >= CERTIFY_MIN_TOL, once k >= 1 the cuts are flattened short side first
-    into stacks of same-shape matrices (a run of consecutive cuts, at most
-    BATCH_ENTRIES entries, or one cut if it alone is larger), and
-    `_ranks_at_most` certifies each stack's ranks <= k at once.  The
-    verdicts are read in visit order: a certified cut is skipped, and the
-    first one that is not takes the SVD.  If its rank exceeds k, k rises
-    and a new stack starts at the next cut; otherwise the certificate has
-    failed on a cut the SVD puts at rank <= k, and the SVD decides every
-    cut left.  A skip proves rank <= k, and k never exceeds the bound, so
-    the bound is the SVD's whatever the stacking.
+    >= CERTIFY_MIN_TOL, once k >= 1, runs of consecutive same-shape cuts (at
+    most BATCH_ENTRIES entries, or one cut if it alone is larger) are laid
+    out by `_cut_axes`, short side as rows, into stacks whose ranks <= k
+    `_ranks_at_most` certifies at once; a cut outside a stack is laid out
+    D_A x D_B, as `flatten` gives it.  In visit order a certified cut is
+    skipped, and the first one that is not takes the SVD as laid out.  If
+    its rank exceeds k, k rises and a new stack starts at the next cut;
+    otherwise the certificate has failed on a cut of rank <= k, and the SVD
+    decides every cut left.  A skip proves rank <= k, and k never exceeds
+    the bound, so the bound is the SVD's.
     """
     n = state.n_subsystems
     if n == 1:
@@ -185,30 +187,30 @@ def flattening_lower_bound(state: PureState, tol: float = DEFAULT_RANK_TOL) -> i
     t = unit_max_modulus(state.coeffs).reshape(state.dims)
     cuts = _cut_masks(n)
     masks = np.arange(cuts.start, cuts.stop, cuts.step)
-    in_a = (masks[:, None] >> np.arange(n) & 1).astype(bool)
-    d_a = np.where(in_a, state.dims, 1).prod(axis=1)
+    d_a = np.where(masks[:, None] >> np.arange(n) & 1, state.dims, 1).prod(axis=1)
     short = np.minimum(d_a, t.size // d_a)
+    short_side = np.where(d_a == short, masks, masks ^ cuts.stop)  # cuts.stop = 2^n - 1
     order = np.argsort(-short, kind="stable")
     per_stack = max(1, BATCH_ENTRIES // t.size)  # every flattening has t.size entries
     certify = tol >= CERTIFY_MIN_TOL
     best, omega, p = 0, None, 0
     while p < order.size and short[order[p]] > best:
-        rows = int(short[order[p]])
         stacked = certify and best > 0
+        # A stack's cuts have the short side as rows; a lone cut keeps block A as rows, as `flatten` does.
+        side, d_rows = (short_side, short) if stacked else (masks, d_a)
         batch = order[p : p + per_stack] if stacked else order[p : p + 1]
-        batch = batch[short[batch] == rows]  # the sort puts each shape's cuts in one run
+        batch = batch[short[batch] == short[order[p]]]  # the sort puts each shape's cuts in one run
+        rows = int(d_rows[order[p]])
         stack = np.empty((batch.size, rows, t.size // rows), dtype=complex)
-        wide = d_a[batch] == rows  # block A (the side holding subsystem 0) is the short side
-        # Each cut's axes, short side first, both sides in subsystem order.
-        for m, axes in zip(stack, np.argsort(in_a[batch] != wide[:, None], axis=1, kind="stable")):
+        for m, axes in zip(stack, _cut_axes(side[batch], n)):
             v = t.transpose(axes)
             m.reshape(v.shape)[...] = v
         certified = _ranks_at_most(stack, omega, tol) if stacked else (False,)
-        for m, a_first, ok in zip(stack, wide, certified):
+        for m, ok in zip(stack, certified):
             p += 1
             if ok and certify:
                 continue
-            rank = numerical_rank(m if a_first else m.T, tol)  # the D_A x D_B flattening
+            rank = numerical_rank(m, tol)  # rank does not change under transposition
             if rank > best:
                 # Every cut left has min(D_A, D_B) > rank, so its long side is at most t.size // (rank + 1).
                 best, omega = rank, _sketch(t.size // (rank + 1), rank)

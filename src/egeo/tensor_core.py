@@ -108,10 +108,11 @@ class Bipartition:
     mask: int
 
     def __post_init__(self):
-        full = 2**self.n_subsystems - 1
+        full = (1 << self.n_subsystems) - 1 if self.n_subsystems > 0 else 0  # no shift by a negative n
         if not 0 < self.mask < full:
             raise ShapeMismatch(f"mask {self.mask} is not a proper nonempty cut of range({self.n_subsystems})")
-        object.__setattr__(self, "mask", self.mask if self.mask & 1 else full ^ self.mask)
+        if not self.mask & 1:
+            object.__setattr__(self, "mask", full ^ self.mask)
 
     @classmethod
     def of(cls, n: int, block) -> "Bipartition":
@@ -142,11 +143,15 @@ def flatten(state: PureState, cut: Bipartition) -> np.ndarray:
 
 
 def _flattening(t: np.ndarray, mask: int) -> np.ndarray:
-    """The D_A x D_B flattening of the n-axis array t along a cut (bit i: axis i in
-    block A), the side holding axis 0 as rows, both sides in axis order."""
-    a = [i for i in range(t.ndim) if mask >> i & 1 == mask & 1]
-    b = [i for i in range(t.ndim) if mask >> i & 1 != mask & 1]
-    return t.transpose(a + b).reshape(prod(t.shape[i] for i in a), -1)
+    """The D_A x D_B flattening of t along a cut (bit i: axis i in A): `_cut_axes`, the side holding axis 0 as rows."""
+    rows = mask if mask & 1 else mask ^ ((1 << t.ndim) - 1)
+    v = t.transpose(_cut_axes(rows, t.ndim))
+    return v.reshape(prod(v.shape[: bin(rows).count("1")]), -1)
+
+
+def _cut_axes(rows: int | np.ndarray, ndim: int) -> np.ndarray:
+    """How a cut is laid out as a matrix: the axes of the row-side bitmask rows, then the rest, each ascending."""
+    return np.argsort(np.asarray(rows)[..., None] >> np.arange(ndim) & 1 == 0, axis=-1, kind="stable")
 
 
 def unit_max_modulus(a: np.ndarray) -> np.ndarray:

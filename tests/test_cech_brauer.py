@@ -195,6 +195,12 @@ def test_validate_inconsistent_inverse_pair():
         make_cover(2, [(0, 1, np.diag([1.0, 2.0])), (1, 0, np.diag([1.0, 3.0]))])
 
 
+def test_validate_a_pair_whose_inverse_overflows():
+    # [[1e-310]] is a finite invertible lift, but np.linalg.inv gives [[inf]], which is projectively equal to nothing.
+    with pytest.raises(BadNerve, match="not inverse"):
+        make_cover(1, [(0, 1, [[1e-310]]), (1, 0, [[1.0]])])
+
+
 def test_validate_nerve_checks_a_cover_built_directly():
     # CechCover(...) skips make_cover, so validate_nerve stays public for such covers
     cover = CechCover(3, 2, {(0, 1): _frozen(np.eye(2)), (1, 2): _frozen(np.eye(2))}, ((0, 1, 2),), ())

@@ -425,6 +425,7 @@ MALFORMED_FILES = {
     "cover-self-pair": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 0, "lift": LIFT}]}),
     "cover-lift-singular": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 1, "lift": [[0] * 4] * 4}], "triples": [], "quads": []}),
     "cover-lift-ragged-row": ("cech", {"n": 2, "pairs": [{"i": 0, "j": 1, "lift": [[1, 0], [0]]}]}),
+    "cover-lift-inverse-overflows": ("cech", {"n": 1, "pairs": [{"i": 0, "j": 1, "lift": [[1e-310]]}, {"i": 1, "j": 0, "lift": [[1]]}]}),
 }
 MALFORMED_ARGV = {
     "invariants-negative-tmax": ["invariants", "--da", "2", "--db", "2", "--tmax", "-1"],

@@ -447,6 +447,13 @@ def test_proj_equal_does_not_depend_on_scale():
                 for t in PROJECTIVE_SCALES:
                     assert proj_equal(g * s, other * t) == want, (s, t)
     assert verdicts == {True, False}
+    # Both parts of the first entry are finite but its modulus overflows: unscaled, it divided to nan.
+    g = np.diag([1.5e308 + 1.5e308j, 1e308])
+    assert proj_equal(g, g) and proj_equal(g, g * 1e-300j) and proj_equal(g * 1e-300, g)
+    assert not proj_equal(g, g.conj()) and not proj_equal(g, np.diag([1.5e308 + 1.5e308j, 1e300]))
+    # An infinite or nan entry makes an operator projectively equal to nothing, itself included.
+    for bad in (np.array([[np.inf]]), np.diag([1, np.nan]), np.diag([1, complex(1, np.inf)])):
+        assert not proj_equal(np.eye(len(bad)), bad) and not proj_equal(bad, np.eye(len(bad))) and not proj_equal(bad, bad)
 
 
 def test_is_local_operator_does_not_depend_on_scale():

@@ -154,9 +154,10 @@ def test_rank_geometry_is_exact_numerology_that_loads_no_numpy():
 
 
 def test_one_flattening_transpose_in_tensor_core_and_one_in_separability():
-    # `flatten` and the rank-1 test's SVD fallback share tensor_core._flattening. The stack fill in
-    # flattening_lower_bound keeps its own transpose: it writes each flattening once through the
-    # destination's n-axis view; a `_flattening` copy plus `.T` made the bound 1.13x slower on rank-profile.
+    # `flatten` and the rank-1 test's SVD fallback share tensor_core._flattening. flattening_lower_bound
+    # lays the cuts it visits out by the same rule, `_cut_axes`, but keeps its own transpose: it writes
+    # each cut once through the destination's n-axis view; a `_flattening` copy plus `.T` made the bound
+    # 1.13x slower on rank-profile.
     # oracles is exempt: its flattening stays independent of the code it checks.
     src = Path(egeo.__file__).parent
     for module, function in (("tensor_core", "_flattening"), ("separability", "flattening_lower_bound")):

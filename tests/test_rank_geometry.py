@@ -241,6 +241,30 @@ def test_a_qubit_qutrit_bound_that_rises_twice_is_the_max_svd_rank(monkeypatch):
     assert calls == [(32, 27), (24, 36), (24, 36)]
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-6])
+def test_a_stacked_cut_with_block_a_long_is_decided_as_stored_near_tol(monkeypatch, tol):
+    # Pairs (0,3), (2,5) and (4,6) with Schmidt coefficients (1, 1), and (1,7) with (1, 1, f tol (1 -+ 1e-3)):
+    # the first cut has rank 2 and {0,1,2,3} rank 4 or 6. The third, {0,1,2,4}, is 36 x 24 and stacked short
+    # side first, so the SVD that decides its rank, 16 or 24, is of the transpose of its flattening.
+    rng = np.random.default_rng(36)
+
+    def pair(schmidt, rows, cols):
+        u, v = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0] for d in (rows, cols))
+        return (u[:, : len(schmidt)] * schmidt) @ v[: len(schmidt)]
+
+    decided = []
+    monkeypatch.setattr(separability, "numerical_rank", lambda m, tol: decided.append(m.copy()) or numerical_rank(m, tol))
+    for f in (0.5, 1, 2):
+        for side in (1 - 1e-3, 1 + 1e-3):
+            weak = pair([1, 1, f * side * tol], 3, 3)
+            t = np.einsum("ad,cf,bh,eg->abcdefgh", pair([1, 1], 2, 2), pair([1, 1], 2, 2), weak, pair([1, 1], 3, 2))
+            state = make_state(MIXED_DIMS, t.reshape(-1))
+            decided.clear()
+            assert flattening_lower_bound(state, tol) == svd_bound(state, tol) == (24 if f * side > 1 else 16), (f, side)
+            flat = flatten(PureState(state.dims, unit_max_modulus(state.coeffs)), Bipartition.of(8, [0, 1, 2, 4]))
+            assert flat.shape == (36, 24) and any(np.array_equal(m, flat.T) for m in decided)
+
+
 def test_below_the_certificate_floor_every_cut_that_could_raise_the_bound_takes_its_svd(monkeypatch):
     tol = CERTIFY_MIN_TOL / 10
     state = make_state([2] * 10, product_sum(np.random.default_rng(3), [2] * 10, 3))

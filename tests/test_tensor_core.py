@@ -220,6 +220,26 @@ def test_numerical_rank_does_not_depend_on_scale():
     assert numerical_rank(np.zeros((2, 2))) == 0 == numerical_rank(np.zeros((0, 3)))
 
 
+@pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+def test_numerical_rank_of_a_transpose_is_the_same_near_tol(tol):
+    # flattening_lower_bound decides a stacked cut with its short side as rows, which is the
+    # transpose of `flatten`'s D_A x D_B matrix when block A is the long side.
+    rng = np.random.default_rng(round(-np.log10(tol)))
+
+    def unitary(d):
+        return np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+
+    for rows, cols in ((6, 6), (4, 9), (9, 4), (3, 16), (16, 3), (8, 24), (24, 8), (27, 32)):
+        for k in range(1, min(rows, cols)):
+            for f in (0.5, 1, 2):
+                for side in (1 - 1e-3, 1 + 1e-3):  # sigma_(k+1) / sigma_1 = f tol (1 -+ 1e-3)
+                    s = np.zeros(min(rows, cols))
+                    s[:k] = np.sort(rng.uniform(0.1, 1, k))[::-1]
+                    s[0], s[k] = 1, f * side * tol
+                    m = (unitary(rows)[:, : s.size] * s) @ unitary(cols)[: s.size]
+                    assert numerical_rank(m, tol) == numerical_rank(m.T, tol) == k + (f * side > 1), (rows, cols, k, f, side)
+
+
 def test_minor_rank_size_cap():
     with pytest.raises(TooLarge):
         minor_rank(np.eye(9))
