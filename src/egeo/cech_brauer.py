@@ -126,7 +126,7 @@ def validate_nerve(cover: CechCover) -> None:
                 raise BadNerve(f"quadruple {q} lists overlap but triple {face} is missing")
     for i, j in cover.pairs:
         if (j, i) in cover.transitions:
-            if not proj_equal(cover.transitions[(j, i)], np.linalg.inv(cover.transitions[(i, j)])):
+            if not proj_equal(cover.transitions[(j, i)], np.linalg.inv(unit_max_modulus(cover.transitions[(i, j)]))):
                 raise BadNerve(f"lifts for ({i}, {j}) and ({j}, {i}) are not inverse up to scalar")
 
 

@@ -178,7 +178,9 @@ def cmd_separability(args) -> tuple[dict, dict, int]:
 
 
 def cmd_invariants(args) -> tuple[dict, dict, int]:
-    from .rank_geometry import HILBERT_TMAX_CAP, determinantal_degree, determinantal_dim, hilbert_function, secant_expected_dim
+    from dataclasses import asdict
+
+    from .rank_geometry import HILBERT_TMAX_CAP, hilbert_function, secant_expected_dim, variety_invariants
 
     d_a, d_b = args.da, args.db
     if min(d_a, d_b) < 1 or args.tmax < 0:
@@ -186,19 +188,15 @@ def cmd_invariants(args) -> tuple[dict, dict, int]:
     if args.tmax > HILBERT_TMAX_CAP:
         raise TooLarge(f"--tmax must be <= {HILBERT_TMAX_CAP}, got {args.tmax}")
     ranks = [args.r] if args.r is not None else list(range(1, min(d_a, d_b) + 1))
-    table = []
-    for r in ranks:
-        dim, codim = determinantal_dim(d_a, d_b, r)
-        table.append(
-            {
-                "r": r,
-                "dim": dim,
-                "codim": codim,
-                "degree": determinantal_degree(d_a, d_b, r),
-                "hilbert": [hilbert_function(d_a, d_b, r, t) for t in range(args.tmax + 1)],
-                "secant_expected_dim": secant_expected_dim((d_a, d_b), r),
-            }
-        )
+    table = [
+        {
+            "r": r,
+            **asdict(variety_invariants(d_a, d_b, r)),  # dim, codim, degree
+            "hilbert": [hilbert_function(d_a, d_b, r, t) for t in range(args.tmax + 1)],
+            "secant_expected_dim": secant_expected_dim((d_a, d_b), r),
+        }
+        for r in ranks
+    ]
     inputs = {"da": d_a, "db": d_b, "r": args.r, "tmax": args.tmax}
     return inputs, {"table": table}, 0
 

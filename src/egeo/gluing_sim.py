@@ -60,10 +60,10 @@ def det_normalize(g: np.ndarray) -> np.ndarray:
     unit_det = complex(np.linalg.det(unit))
     if abs(unit_det) < 1e-12:
         raise ShapeMismatch("matrix is numerically singular, cannot normalize")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing det is replaced below
-        det = complex(np.linalg.det(g))
-    if not SMALLEST_NORMAL <= abs(det) < math.inf:
-        g, det = unit, unit_det
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing det or det modulus is replaced below
+        det = np.linalg.det(g)
+        normal = SMALLEST_NORMAL <= np.abs(det) < math.inf  # Python's abs of a complex raises where the modulus overflows
+    g, det = (g, complex(det)) if normal else (unit, unit_det)
     target = 1.0 / det
     theta = cmath.phase(target) % (2 * cmath.pi)
     scale = abs(target) ** (1.0 / n) * cmath.exp(1j * theta / n)
@@ -82,9 +82,12 @@ def _scalar_value(mat: np.ndarray) -> complex | None:
 def proj_equal(g: np.ndarray, h: np.ndarray) -> bool:
     """Projective equality of finite operators: scale both to max modulus 1, divide each by its entry at g's largest, compare."""
     ga, ha = np.asarray(g, dtype=complex), np.asarray(h, dtype=complex)
-    if ga.shape != ha.shape or not (np.isfinite(ga).all() and np.isfinite(ha).all()):
+    if ga.shape != ha.shape:
         return False
-    ga, ha = unit_max_modulus(ga), unit_max_modulus(ha)
+    try:
+        ga, ha = unit_max_modulus(ga), unit_max_modulus(ha)
+    except NonFinite:
+        return False
     pos = np.unravel_index(np.argmax(np.abs(ga)), ga.shape)
     if abs(ha[pos]) < PROJ_TOL * np.abs(ha).max():
         return False

@@ -327,12 +327,11 @@ def check_satake(rng) -> tuple[bool, str]:
     def types_up_to(n_max):
         def rec(prefix, min_d, left):
             for d in range(min_d, left + 1):
-                if left // d >= 1:
-                    yield prefix + (d,)
-                    yield from rec(prefix + (d,), d, left // d)
+                yield prefix + (d,)
+                yield from rec(prefix + (d,), d, left // d)
         yield from rec((), 2, n_max)
     for dims in types_up_to(64):
-        if len(dims) >= 2 and prod(dims) <= 64 and sphericity_check(dims):
+        if len(dims) >= 2 and sphericity_check(dims):
             spherical.append(dims)
     if spherical != [(2, 2)]:
         problems.append(f"sphericity survivors {spherical} != [(2, 2)]")

@@ -125,9 +125,8 @@ def is_22_product(s: SpectralClass, tol: float = SPECTRAL_TOL) -> tuple[bool, tu
     if not all(r <= tol * w for r, w in _relations_22(s)):
         return False, None
     zs = s.eigenvalues
-    for j in range(1, 4):
-        u = zs[0]
-        v = next(zs[k] for k in range(1, 4) if k != j)
+    u = zs[0]
+    for v in (zs[2], zs[1]):  # u's inverse partner is zs[1], or else zs[2] or zs[3]
         for sign in (1, -1):
             a = sign * cmath.sqrt(u * v)
             if a == 0:

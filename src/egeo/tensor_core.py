@@ -46,16 +46,6 @@ class PureState:
         """Coefficients reshaped to one axis per subsystem."""
         return self.coeffs.reshape(self.dims)
 
-    def _unit(self) -> tuple[float, np.ndarray]:
-        """(top, coeffs / top), top the largest modulus. numpy divides a complex
-        array by a real number through its reciprocal, which overflows when the
-        divisor is subnormal, so then the parts are divided one by one."""
-        with np.errstate(over="ignore"):  # a modulus may overflow although its parts are finite
-            top = float(np.abs(self.coeffs).max())
-        if top >= SMALLEST_NORMAL:
-            return top, self.coeffs / top
-        return top, self.coeffs.real / top + 1j * (self.coeffs.imag / top)
-
     def norm(self) -> float:
         """Euclidean norm. Outside [1e-150, 1e150] the squares under- or overflow,
         so there the coefficients are divided by their max modulus first.
@@ -64,7 +54,7 @@ class PureState:
             plain = float(np.linalg.norm(self.coeffs))
         if 1e-150 <= plain <= 1e150:
             return plain
-        top, unit = self._unit()
+        top, unit = _max_modulus_scale(self.coeffs)
         norm = top * float(np.linalg.norm(unit))
         if not np.isfinite(norm):
             raise OutOfRange(f"the norm of the state overflows a float (it exceeds {np.finfo(float).max:.6g})")
@@ -75,7 +65,7 @@ class PureState:
         if norm >= SMALLEST_NORMAL:
             return PureState(self.dims, _frozen(self.coeffs / norm))
         # A subnormal norm keeps only a few digits: normalize the max-modulus-scaled vector.
-        unit = self._unit()[1]
+        unit = unit_max_modulus(self.coeffs)
         return PureState(self.dims, _frozen(unit / np.linalg.norm(unit)))
 
 
@@ -155,22 +145,33 @@ def _cut_axes(rows: int | np.ndarray, ndim: int) -> np.ndarray:
 
 
 def unit_max_modulus(a: np.ndarray) -> np.ndarray:
-    """a divided by its largest entry modulus, or a itself if it is zero.
+    """a divided by its largest entry modulus, or a itself if it is zero: `_max_modulus_scale`'s array."""
+    return _max_modulus_scale(a)[1]
+
+
+def _max_modulus_scale(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """(top, a / top), top the largest entry modulus of a, or (0.0, a) if a is zero.
 
     Rank and membership verdicts do not depend on scale, but an SVD or a
     determinant of subnormal or near-overflow entries does: every
-    scale-sensitive verdict rescales its input once, here.  The parts are
-    divided one by one: numpy divides a complex number by a real one
-    through its reciprocal, which overflows when the divisor is subnormal.
+    scale-sensitive verdict rescales its input once, here.  numpy divides a
+    complex array by a real number through its reciprocal, which overflows
+    when the divisor is subnormal, so then the parts are divided one by one.
+    Raises NonFinite on an infinite or NaN entry.  Where a modulus overflows
+    although its parts are finite, a is halved once first and top is inf.
     """
     a = np.asarray(a, dtype=complex)
-    with np.errstate(over="ignore"):
-        # The cut scan's pivot modulus: the scalar abs of the largest entry,
-        # which numpy's array abs can round differently in the last bit.
-        top = abs(a.flat[int(np.argmax(np.abs(a)))])
-    if top == np.inf:  # some modulus overflows although both of its parts are finite
-        return unit_max_modulus(a / 2)
-    return a if top == 0.0 else a.real / top + 1j * (a.imag / top)
+    with np.errstate(over="ignore"):  # a modulus may overflow although its parts are finite
+        top = float(np.abs(a).max())
+    if not top < np.inf:
+        if not np.isfinite(a).all():
+            raise NonFinite("matrix has a non-finite entry")
+        a = a / 2  # no modulus of a / 2 overflows
+        top = float(np.abs(a).max())
+        return 2 * top, a / top
+    if top >= SMALLEST_NORMAL:
+        return top, a / top
+    return top, a if top == 0.0 else a.real / top + 1j * (a.imag / top)
 
 
 def _rank_of(s: np.ndarray, tol: float) -> int:
@@ -219,7 +220,8 @@ def _cross_tests(t: np.ndarray, tol: float) -> tuple[Callable[[int], bool], Call
     The reject test runs first; the two cannot both pass, as the pivot row
     and column are slices of T, so an accepted cut has ||R||_max <= ||R||_F
     <= tol/2 ||T||_F, a factor 8 below the reject bound.  R is formed on
-    the n-axis array, unflattened, after dividing by the pivot's modulus:
+    the n-axis array, unflattened, after `unit_max_modulus` divides t by
+    its largest modulus, and the pivot is taken from that scaled array:
     with entries of modulus at most 1 no square overflows and the pivot's
     does not underflow, whatever the scale of t.  The SVD sees the same
     rescaled entries.  Each closure writes R into one array of its own and
@@ -241,9 +243,8 @@ def _cross_tests(t: np.ndarray, tol: float) -> tuple[Callable[[int], bool], Call
     """
     _check_rank_tol(tol)
     n = t.ndim
-    with np.errstate(over="ignore"):  # an overflowing modulus is still the largest
-        at = np.unravel_index(int(np.argmax(np.abs(t))), t.shape)
     t = unit_max_modulus(t)
+    at = np.unravel_index(int(np.argmax(np.abs(t))), t.shape)
     pivot = t[at]
     fixed = [slice(i, i + 1) for i in at]
     free = slice(None)
@@ -292,8 +293,6 @@ def minor_rank(m: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
     All minors of one order go through one stacked det call; each is the
     same LU as a det of that submatrix alone.
     """
-    if not np.isfinite(m).all():
-        raise NonFinite("matrix has a non-finite entry")
     scaled = unit_max_modulus(m)
     rows, cols = scaled.shape
     if rows > MINOR_SIZE_CAP or cols > MINOR_SIZE_CAP:

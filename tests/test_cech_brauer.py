@@ -196,9 +196,12 @@ def test_validate_inconsistent_inverse_pair():
 
 
 def test_validate_a_pair_whose_inverse_overflows():
-    # [[1e-310]] is a finite invertible lift, but np.linalg.inv gives [[inf]], which is projectively equal to nothing.
-    with pytest.raises(BadNerve, match="not inverse"):
-        make_cover(1, [(0, 1, [[1e-310]]), (1, 0, [[1.0]])])
+    # np.linalg.inv of [[1e-310]] is [[inf]], and of inv(a) * 1e-308 overflows too, but each pair is inverse up to
+    # scalar: the check inverts the lift divided by its max modulus.
+    a = np.array([[1.0, 2.0], [3.0, 4.0]])
+    for n, lift, other in ((1, [[1e-310]], [[1.0]]), (2, a, np.linalg.inv(a) * 1e-308)):
+        assert make_cover(n, [(0, 1, lift), (1, 0, other)]).pairs == ((0, 1), (1, 0))
+        assert make_cover(n, [(1, 0, lift), (0, 1, other)]).pairs == ((1, 0), (0, 1))
 
 
 def test_validate_nerve_checks_a_cover_built_directly():

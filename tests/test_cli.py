@@ -192,6 +192,17 @@ def test_cech_without_da_or_db_on_a_prime_dimension_is_an_input_error(capsys, tm
     assert error == "the cover dimension 5 has no split into two factors >= 2; give --da or --db"
 
 
+def test_cech_reports_on_a_cover_whose_lift_inverts_to_overflow(capsys, tmp_path):
+    # np.linalg.inv of inv(a) * 1e-308 overflows, yet the pair is inverse up to scalar, so the cover is accepted
+    a = np.kron([[1.0, 2.0], [3.0, 4.0]], [[2.0, 1.0], [1.0, 1.0]])
+    pairs = [{"i": 0, "j": 1, "lift": a.tolist()}, {"i": 1, "j": 0, "lift": (np.linalg.inv(a) * 1e-308).tolist()}]
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps({"n": 4, "pairs": pairs}))
+    code, report = invoke(capsys, "cech", "--cover", str(path))
+    assert code in (0, 1)
+    assert report["outputs"]["pair_locality"] == {"0,1": True} and report["outputs"]["reducible"]
+
+
 def test_rank222_of_a_subnormal_ghz_state_is_2_with_nothing_on_stderr(tmp_path):
     path = tmp_path / "ghz.json"
     path.write_text(json.dumps({"dims": [2, 2, 2], "coeffs": [1e-320] + [0] * 6 + [1e-320]}))
@@ -425,7 +436,6 @@ MALFORMED_FILES = {
     "cover-self-pair": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 0, "lift": LIFT}]}),
     "cover-lift-singular": ("cech", {"n": 4, "pairs": [{"i": 0, "j": 1, "lift": [[0] * 4] * 4}], "triples": [], "quads": []}),
     "cover-lift-ragged-row": ("cech", {"n": 2, "pairs": [{"i": 0, "j": 1, "lift": [[1, 0], [0]]}]}),
-    "cover-lift-inverse-overflows": ("cech", {"n": 1, "pairs": [{"i": 0, "j": 1, "lift": [[1e-310]]}, {"i": 1, "j": 0, "lift": [[1]]}]}),
 }
 MALFORMED_ARGV = {
     "invariants-negative-tmax": ["invariants", "--da", "2", "--db", "2", "--tmax", "-1"],

@@ -436,6 +436,24 @@ def test_det_normalize_does_not_depend_on_scale():
                 det_normalize(singular * s)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_commutator_scalar_and_det_normalize_refuse_a_non_finite_entry(bad):
+    m = np.diag([1.0, bad])
+    for call in (lambda: commutator_scalar(np.eye(2), m), lambda: commutator_scalar(m, np.eye(2)), lambda: det_normalize(m)):
+        with pytest.raises(NonFinite, match="matrix has a non-finite entry"):
+            call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_commutator_scalar_and_det_normalize_scale_an_overflowing_modulus_with_finite_parts():
+    # Both parts of g's first entry are finite, but its modulus overflows a float.
+    g = np.diag([1.5e308 + 1.5e308j, 1e308])
+    assert abs(commutator_scalar(g, weyl_ops(2).z_op) - 1) < 1e-12
+    got = det_normalize(g)
+    assert abs(np.linalg.det(got) - 1) < 1e-12 and proj_equal(got, g)
+
+
 def test_proj_equal_does_not_depend_on_scale():
     rng = np.random.default_rng(3031)
     verdicts = set()

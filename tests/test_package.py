@@ -167,6 +167,37 @@ def test_one_flattening_transpose_in_tensor_core_and_one_in_separability():
         assert [where.get(node) for node in calls if node.func.attr == "transpose"] == [function], module
 
 
+def _is_max_modulus(node) -> bool:
+    """A call np.abs(x).max(), np.max(np.abs(x)) or np.argmax(np.abs(x)): the largest modulus or its index."""
+    if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+        return False
+    taken = [node.func.value] if node.func.attr == "max" else node.args[:1] if node.func.attr == "argmax" else []
+    return any(isinstance(arg, ast.Call) and ast.unparse(arg.func) in ("np.abs", "abs") for arg in taken)
+
+
+def test_one_max_modulus_rescale_in_tensor_core():
+    # Every scale-free verdict rescales through tensor_core.unit_max_modulus, whose one body is
+    # _max_modulus_scale: the overflow-tolerant max-modulus step and the part-by-part division for a
+    # subnormal top appear nowhere else.
+    src = Path(egeo.__file__).parent
+    found = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        where = _enclosing(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and ast.unparse(node.left).endswith((".real", ".imag")):
+                found.add((path.stem, where.get(node), "part-by-part division"))
+            guarded = isinstance(node, ast.With) and any(
+                ast.unparse(item.context_expr.func) == "np.errstate" and any(k.arg == "over" for k in item.context_expr.keywords)
+                for item in node.items
+                if isinstance(item.context_expr, ast.Call)
+            )
+            if guarded and any(_is_max_modulus(inner) for statement in node.body for inner in ast.walk(statement)):
+                found.add((path.stem, where.get(node), "overflow-tolerant max modulus"))
+    rescale = ("tensor_core", "_max_modulus_scale")
+    assert found == {rescale + ("part-by-part division",), rescale + ("overflow-tolerant max modulus",)}
+
+
 def test_references_that_only_tests_call_live_in_the_tests():
     src = Path(egeo.__file__).parent
     moved = {"pi_product_by_reconstruction", "solve_mod", "coboundary_witness", "rescale_lifts"}

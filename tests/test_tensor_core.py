@@ -22,7 +22,7 @@ from egeo import (
     sector_decompose,
 )
 from egeo.separability import w_state
-from egeo.tensor_core import reassemble_lift
+from egeo.tensor_core import SMALLEST_NORMAL, reassemble_lift, unit_max_modulus
 
 RNG = np.random.default_rng(11)
 
@@ -208,6 +208,33 @@ def test_numerical_rank_names_a_non_finite_entry(bad):
     m[1, 2] = bad
     with pytest.raises(NonFinite, match="matrix has a non-finite entry"):
         numerical_rank(m)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_unit_max_modulus_names_a_non_finite_entry(bad):
+    for m in (np.array([bad]), np.diag([1.0, bad]), np.diag([1e-310, complex(1.0, bad)])):
+        with pytest.raises(NonFinite, match="matrix has a non-finite entry"):
+            unit_max_modulus(m)
+
+
+@pytest.mark.filterwarnings("error")
+def test_unit_max_modulus_divides_whole_at_a_normal_top_and_part_by_part_below():
+    rng = np.random.default_rng(3033)
+    a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    for s in (1e-310, SMALLEST_NORMAL, 1.0, 1e300):
+        scaled = a * s
+        top = np.abs(scaled).max()
+        want = scaled / top if top >= SMALLEST_NORMAL else scaled.real / top + 1j * (scaled.imag / top)
+        assert unit_max_modulus(scaled).tobytes() == want.tobytes(), s
+    assert unit_max_modulus(np.zeros(3)).tobytes() == np.zeros(3, dtype=complex).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_unit_max_modulus_scales_an_overflowing_modulus_with_finite_parts():
+    unit = unit_max_modulus(np.array([1.5e308 + 1.5e308j, 1e308, -1e-300j]))
+    assert np.isfinite(unit).all()
+    assert np.allclose(unit, [(1 + 1j) / np.sqrt(2), np.sqrt(2) / 3, 0], rtol=0, atol=1e-15)
 
 
 def test_numerical_rank_does_not_depend_on_scale():
