@@ -171,7 +171,7 @@ def _is_max_modulus(node) -> bool:
     """A call np.abs(x).max(), np.max(np.abs(x)) or np.argmax(np.abs(x)): the largest modulus or its index."""
     if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
         return False
-    taken = [node.func.value] if node.func.attr == "max" else node.args[:1] if node.func.attr == "argmax" else []
+    taken = [node.func.value, *node.args[:1]] if node.func.attr in ("max", "argmax") else []
     return any(isinstance(arg, ast.Call) and ast.unparse(arg.func) in ("np.abs", "abs") for arg in taken)
 
 
