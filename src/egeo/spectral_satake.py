@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from itertools import combinations, product
-from math import prod
+from math import isfinite, prod
 
 from .errors import NonFinite, OutOfRange, TooLarge, WrongSize, ZeroState
 
@@ -145,13 +145,19 @@ def quartic_f(e) -> complex:
 
 
 def _relations_222(s: SpectralClass) -> list[tuple[float, float]]:
-    """(residual, scale) of e_k = e_(8-k) for k = 1, 2, 3 and of F = 0."""
+    """(residual, scale) of e_k = e_(8-k) for k = 1, 2, 3 and of F = 0, all finite, or OutOfRange."""
     if s.n != 8:
         raise WrongSize(f"(2,2,2) test needs 8 eigenvalues, got {s.n}")
     e = elem_sym(s)
-    palindromic = [(abs(e[7 - k] - e[k - 1]), 1.0 + max(abs(e[k - 1]), abs(e[7 - k]))) for k in (1, 2, 3)]
-    scale = 1.0 + abs(e[2]) ** 2 + 2 * abs(e[0]) * abs(e[2]) + abs(e[0]) ** 4 + (abs(e[3]) + 2 * abs(e[1]) + 1) * abs(e[0]) ** 2
-    return palindromic + [(abs(quartic_f(e)), scale)]
+    try:  # a float power or modulus past the float range raises; a sum or product goes to inf
+        palindromic = [(abs(e[7 - k] - e[k - 1]), 1.0 + max(abs(e[k - 1]), abs(e[7 - k]))) for k in (1, 2, 3)]
+        scale = 1.0 + abs(e[2]) ** 2 + 2 * abs(e[0]) * abs(e[2]) + abs(e[0]) ** 4 + (abs(e[3]) + 2 * abs(e[1]) + 1) * abs(e[0]) ** 2
+        relations = palindromic + [(abs(quartic_f(e)), scale)]
+        if all(isfinite(r) and isfinite(w) for r, w in relations):
+            return relations
+    except OverflowError:
+        pass
+    raise OutOfRange("the (2,2,2) relations of the spectrum overflow a float")
 
 
 def is_222_product(s: SpectralClass, tol: float = SPECTRAL_TOL) -> bool:

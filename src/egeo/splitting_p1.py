@@ -3,7 +3,11 @@
 A degree multiset {a_m} is reducible for shape (d_a, d_b) iff it factors
 as {b_i + c_j + t}. The search is exact integer backtracking on the
 residual multiset: the smallest unexplained exponent must join either
-factor, which makes the branching complete and terminating.
+factor, which makes the branching complete and terminating. One residual
+is kept for the whole search: a step removes only the new sums and
+backtracking puts them back. The branch order (b first, then c) is
+fixed, and with it the first witness found; tests/test_oracle_references.py
+holds it to the former rebuild-per-node search.
 """
 
 from __future__ import annotations
@@ -41,32 +45,38 @@ class SumsetFactorization:
         return tuple(sorted(x + y + self.t for x in self.b for y in self.c))
 
 
-def _residual(target: Counter, b: list[int], c: list[int]) -> Counter | None:
-    res = target.copy()
-    for x in b:
-        for y in c:
-            res[x + y] -= 1
-            if res[x + y] < 0:
-                return None
-    return +res  # drop zeros
+def _take(res: dict[int, int], sums: list[int]) -> bool:
+    """Remove sums from res, keeping no zero count; if one is missing, put back those removed and return False."""
+    for k, x in enumerate(sums):
+        if x not in res:
+            _put_back(res, sums[:k])
+            return False
+        res[x] -= 1
+        if not res[x]:
+            del res[x]
+    return True
 
 
-def _search(target: Counter, b: list[int], c: list[int], d_a: int, d_b: int):
-    res = _residual(target, b, c)
-    if res is None:
-        return None
-    if len(b) == d_a and len(c) == d_b:
-        return (b, c) if not res else None
+def _put_back(res: dict[int, int], sums: list[int]) -> None:
+    for x in sums:
+        res[x] = res.get(x, 0) + 1
+
+
+def _search(res: dict[int, int], b: list[int], c: list[int], d_a: int, d_b: int) -> bool:
+    """Grow b, then c, by s = min(res) until res, the target less every b_i + c_j, is empty; else False, all restored."""
+    if not res:
+        return True
     s = min(res)
-    if len(b) < d_a:
-        out = _search(target, b + [s], c, d_a, d_b)
-        if out is not None:
-            return out
-    if len(c) < d_b:
-        out = _search(target, b, c + [s], d_a, d_b)
-        if out is not None:
-            return out
-    return None
+    for grow, other, size in ((b, c, d_a), (c, b, d_b)):
+        if len(grow) < size:
+            sums = [s + y for y in other]
+            if _take(res, sums):
+                grow.append(s)
+                if _search(res, b, c, d_a, d_b):
+                    return True
+                grow.pop()
+                _put_back(res, sums)
+    return False
 
 
 def factor_sumset(a: SplittingType, d_a: int, d_b: int) -> SumsetFactorization | None:
@@ -83,11 +93,11 @@ def factor_sumset(a: SplittingType, d_a: int, d_b: int) -> SumsetFactorization |
     if len(degrees) > SIZE_CAP:
         raise TooLarge(f"sumset search capped at {SIZE_CAP} degrees")
     t = degrees[0]
-    target = Counter(d - t for d in degrees)
-    found = _search(target, [0], [0], d_a, d_b)
-    if found is None:
+    res = dict(Counter(d - t for d in degrees))
+    _take(res, [0])  # 0 + 0, the smallest degree less t
+    b, c = [0], [0]
+    if not _search(res, b, c, d_a, d_b):
         return None
-    b, c = found
     return SumsetFactorization(tuple(sorted(b)), tuple(sorted(c)), t)
 
 

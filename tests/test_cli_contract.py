@@ -225,10 +225,12 @@ GENERATORS = {
     "satake": gen_satake,
     "repro": gen_repro,
 }
-# Valid spectra at extreme moduli, each with its exit code. The first has a
-# column product that underflows, so its elementary symmetric values overflow
-# (the other eigenvalues multiply to its inverse): exit 2, naming them. The
-# second reaches a predicted slot value of modulus 2e308 with finite parts.
+# Valid spectra at extreme moduli, each with its exit code and the reason an
+# exit 2 names. The first has a column product that underflows, so its
+# elementary symmetric values overflow (the other eigenvalues multiply to its
+# inverse): exit 2, naming them. The second reaches a predicted slot value of
+# modulus 2e308 with finite parts. The last two have finite elementary
+# symmetric values whose (2,2,2) relations, |e_1|^4 first, overflow a float.
 SATAKE_EXTREMES = {
     (
         "satake",
@@ -236,13 +238,21 @@ SATAKE_EXTREMES = {
         "--eigs=9.51656370776498e-301,4.742817043238833e-301;4.728859740835711e+199,7.411168568691031e+199;"
         "-0.2743575715635508,0.8965915994961811;1.3797377290074926e-100,1.1010998436901292e-101;"
         "0.12438458092154564,0.6638027942211623;1.0454271122093837e+199,1.2160576965642549e+200",
-    ): 2,
+    ): (2, "elementary symmetric values of --eigs overflow"),
     (
         "satake",
         "--d=2,2",
         "--eigs=1e-200,0.0;9.210609940028852e+53,3.894183423086505e+53;1.8532977734728338e+54,7.518559455378651e+53;"
         "3.5355344836299075e+91,-3.535533328235471e+91",
-    ): 1,
+    ): (1, None),
+    ("satake", "--d=2,2,2", "--eigs=1e154,1e154;1e-154,0;1,0;1,0;1,0;1,0;1,0;1,0"): (
+        2,
+        "the (2,2,2) relations of the spectrum overflow a float",
+    ),
+    ("satake", "--d=2,2,2", "--eigs=1.2e308,1.2e308;1e-154,0;1,0;1,0;1,0;1,0;1,0;1,0"): (
+        2,
+        "the (2,2,2) relations of the spectrum overflow a float",
+    ),
 }
 # Fixed extremes, run alongside the generated cases.
 PINNED = [
@@ -404,13 +414,17 @@ def test_a_usage_error_is_one_json_line(capsys, argv, message):
     check_usage_error(capsys, list(argv), message)
 
 
-@pytest.mark.parametrize("argv,code", SATAKE_EXTREMES.items(), ids=["column-product-underflows", "slot-modulus-overflows"])
-def test_satake_at_extreme_moduli_names_egeo_s_reason_or_gives_a_verdict(capsys, argv, code):
+@pytest.mark.parametrize(
+    "argv,code,reason",
+    [(argv, *expected) for argv, expected in SATAKE_EXTREMES.items()],
+    ids=["column-product-underflows", "slot-modulus-overflows", "relations-222-overflow-1e154", "relations-222-overflow-1.2e308"],
+)
+def test_satake_at_extreme_moduli_names_egeo_s_reason_or_gives_a_verdict(capsys, argv, code, reason):
     assert run(list(argv)) == code
     out, err = capsys.readouterr()
     assert "math domain" not in out + err and "absolute value too large" not in out + err
     if code == 2:
-        assert "elementary symmetric values of --eigs overflow" in err
+        assert reason in err
 
 
 @pytest.mark.parametrize("m", [4, None], ids=["m-4", "m-null"])

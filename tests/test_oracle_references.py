@@ -28,14 +28,18 @@ form's pivot search, `elem_sym`'s in-place update and `_unit_product`.
 `is_local_operator` and `rank_2x2x2`
 ask the certified rank-1 test of a cut; they are held verdict for verdict
 to the SVD forms they had before, near the tolerance and at every scale.
+`factor_sumset` keeps one residual in place through its backtracking; it is
+held witness for witness to the search that rebuilt the residual at every
+node, which fixes its branch order and so the first factorization found.
 """
 
 import cmath
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import prod
+from random import Random
 from types import SimpleNamespace
 
 import numpy as np
@@ -48,11 +52,14 @@ from egeo import (
     PureState,
     ShapeMismatch,
     SpectralClass,
+    SplittingType,
+    SumsetFactorization,
     WrongShape,
     bipartitions,
     cofactor_matrix,
     d_product_oracle,
     elem_sym,
+    factor_sumset,
     flatten,
     is_22_product,
     is_local_operator,
@@ -1177,3 +1184,73 @@ def test_slot_search_compares_a_value_whose_modulus_overflows_at_quarter_scale()
     with pytest.raises(OverflowError):
         reference_d_product_oracle(s, (2, 2))
     assert d_product_oracle(s, (2, 2)) is None
+
+
+# ------------------------------------------------------------- the sumset search
+# factor_sumset keeps one residual in place and puts back what a branch took;
+# the reference is the search as it was, rebuilding the residual at each node.
+
+
+def reference_residual(target: Counter, b: list[int], c: list[int]) -> Counter | None:
+    res = target.copy()
+    for x in b:
+        for y in c:
+            res[x + y] -= 1
+            if res[x + y] < 0:
+                return None
+    return +res  # drop zeros
+
+
+def reference_search(target: Counter, b: list[int], c: list[int], d_a: int, d_b: int):
+    res = reference_residual(target, b, c)
+    if res is None:
+        return None
+    if len(b) == d_a and len(c) == d_b:
+        return (b, c) if not res else None
+    s = min(res)
+    if len(b) < d_a:
+        out = reference_search(target, b + [s], c, d_a, d_b)
+        if out is not None:
+            return out
+    if len(c) < d_b:
+        out = reference_search(target, b, c + [s], d_a, d_b)
+        if out is not None:
+            return out
+    return None
+
+
+def reference_factor_sumset(a, d_a, d_b):
+    t = a.degrees[0]
+    found = reference_search(Counter(d - t for d in a.degrees), [0], [0], d_a, d_b)
+    return None if found is None else SumsetFactorization(tuple(sorted(found[0])), tuple(sorted(found[1])), t)
+
+
+def sumset_corpus():
+    """(degrees, d_a, d_b): every 2x2 multiset over range(6), every 2x3 over range(4), and
+    seeded planted and one-off-perturbed shapes up to 36 degrees."""
+    cases = [(tup, 2, 2) for tup in combinations_with_replacement(range(6), 4)]
+    cases += [(tup, 2, 3) for tup in combinations_with_replacement(range(4), 6)]
+    rnd = Random(38)
+    for d_a, d_b in ((3, 3), (4, 4), (6, 6), (4, 9), (3, 12)):
+        for trial in range(40):
+            spread = 3 + trial % 10
+            b = [rnd.randrange(spread) for _ in range(d_a)]
+            c = [rnd.randrange(spread) for _ in range(d_b)]
+            degrees = [x + y for x in b for y in c]
+            if trial % 2:
+                degrees[rnd.randrange(len(degrees))] += rnd.choice((-1, 1))
+            cases.append((tuple(degrees), d_a, d_b))
+    return cases
+
+
+def test_factor_sumset_matches_the_rebuilding_reference_witness_for_witness():
+    found = compared = 0
+    for k, (degrees, d_a, d_b) in enumerate(sumset_corpus()):
+        a = SplittingType(degrees).shifted((0, -5, 3)[k % 3])
+        for shape in ((d_a, d_b), (d_b, d_a)):
+            want = reference_factor_sumset(a, *shape)
+            assert factor_sumset(a, *shape) == want, (a.degrees, shape)
+            compared += 1
+            found += want is not None
+    assert factor_sumset(SplittingType((0, 1, 2, 3)), 2, 2) == SumsetFactorization((0, 1), (0, 2), 0)
+    assert compared == 2 * (126 + 84 + 200) and 250 < found < compared - 250, (compared, found)

@@ -1,5 +1,5 @@
 import cmath
-from math import comb, prod
+from math import comb, isfinite, prod
 
 import numpy as np
 import pytest
@@ -257,6 +257,27 @@ def test_criteria_verdicts_and_margins_match_inline_formulas():
                     assert verdict(s, tol) is expected
             near += 1
     assert near >= 20
+
+
+def test_222_relations_past_the_float_range_are_refused_never_nan():
+    # A first eigenvalue scaled up to 1e300: while every residual and scale is finite the margin is
+    # the inline formula's, bit for bit; past that, margin_222 and is_222_product raise OutOfRange.
+    rng = np.random.default_rng(383)
+    kept = refused = 0
+    for k in range(0, 301, 4):
+        vals = list(random_generic(rng, 8).eigenvalues)
+        vals[0] *= 10.0**k
+        s = SpectralClass(tuple(vals))
+        try:
+            m = margin_222(s)
+        except OutOfRange:
+            with pytest.raises(OutOfRange):
+                is_222_product(s)
+            refused += 1
+            continue
+        assert isfinite(m) and m == inline_222(s, 1e-9)[1], k
+        kept += 1
+    assert kept >= 20 and refused >= 20, (kept, refused)
 
 
 def test_margins_need_the_right_size():
